@@ -1,13 +1,15 @@
 """Compare the numba and numpy pulse-kernel backends.
 
-Runs the same two workloads under each backend in a child interpreter
-(the backend is chosen at import time from IONCHAIN_BACKEND):
-
-1. repeated ideal runs of the six-ion program (pulse kernels dominate);
-2. a Monte Carlo jitter sweep, the hot path the numba kernels exist for.
+Runs repeated ideal runs of the six-ion program, where the pulse kernels
+dominate, under each backend in a child interpreter (the backend is chosen
+at import time from IONCHAIN_BACKEND).  Each child reports the backend it
+actually imported; when numba is missing both children run numpy, and the
+script says so and exits 1 instead of printing a ratio of numpy to itself.
+The jitter Monte Carlo is not timed here: it runs its batched trials through
+the shared numpy rotation whichever backend is selected.
 
 Usage:
-    python benchmarks/bench_backends.py [--repeats 300] [--trials 500]
+    python benchmarks/bench_backends.py [--repeats 300]
 """
 
 from __future__ import annotations
@@ -20,7 +22,7 @@ import sys
 import time
 
 
-def worker(repeats: int, trials: int) -> dict:
+def worker(repeats: int) -> dict:
     import ionchain as ic
 
     seq = ic.cluster6_sequence()
@@ -33,46 +35,37 @@ def worker(repeats: int, trials: int) -> dict:
         ic.run(seq, n_max=2)
     ideal_seconds = time.perf_counter() - start
 
-    cfg = ic.NoiseConfig(jitter_sigma=0.02, trials=trials, seed=1)
-    ic.monte_carlo(seq, ic.NoiseConfig(jitter_sigma=0.02, trials=5, seed=1), n_max=4)
-    start = time.perf_counter()
-    result = ic.monte_carlo(seq, cfg, n_max=4)
-    mc_seconds = time.perf_counter() - start
-
-    return {
-        "backend": ic.BACKEND,
-        "ideal_seconds": ideal_seconds,
-        "ideal_runs": repeats,
-        "mc_seconds": mc_seconds,
-        "mc_trials": trials,
-        "mc_mean_fidelity": result.mean_fidelity,
-    }
+    return {"backend": ic.BACKEND, "ideal_seconds": ideal_seconds}
 
 
-def main() -> None:
+def main() -> int:
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument("--repeats", type=int, default=300)
-    parser.add_argument("--trials", type=int, default=500)
     parser.add_argument("--worker", action="store_true", help=argparse.SUPPRESS)
     args = parser.parse_args()
 
     if args.worker:
-        print(json.dumps(worker(args.repeats, args.trials)))
-        return
+        print(json.dumps(worker(args.repeats)))
+        return 0
 
     results = []
     for backend in ("numba", "numpy"):
         env = dict(os.environ, IONCHAIN_BACKEND=backend)
         out = subprocess.run(
-            [sys.executable, __file__, "--worker",
-             "--repeats", str(args.repeats), "--trials", str(args.trials)],
+            [sys.executable, __file__, "--worker", "--repeats", str(args.repeats)],
             env=env, capture_output=True, text=True, check=True,
         )
         results.append(json.loads(out.stdout.splitlines()[-1]))
 
     numba_res, numpy_res = results
-    if numba_res["mc_mean_fidelity"] != numpy_res["mc_mean_fidelity"]:
-        print("warning: backends disagree on the Monte Carlo mean", file=sys.stderr)
+    if numba_res["backend"] != "numba" or numpy_res["backend"] != "numpy":
+        print(
+            f"the children ran the {numba_res['backend']} and "
+            f"{numpy_res['backend']} backends (is numba installed?); "
+            "no numba vs numpy ratio to report",
+            file=sys.stderr,
+        )
+        return 1
 
     steps = 11
     print(f"{'workload':<34}{'numba':>12}{'numpy':>12}{'speedup':>10}")
@@ -89,13 +82,8 @@ def main() -> None:
         f"{'single pulse (us/pulse)':<34}{pulse_nb:>12.2f}{pulse_np:>12.2f}"
         f"{pulse_np / pulse_nb:>9.2f}x"
     )
-    mc_nb = numba_res["mc_seconds"]
-    mc_np = numpy_res["mc_seconds"]
-    print(
-        f"{f'monte carlo ({args.trials} trials, s)':<34}{mc_nb:>12.3f}{mc_np:>12.3f}"
-        f"{mc_np / mc_nb:>9.2f}x"
-    )
+    return 0
 
 
 if __name__ == "__main__":
-    main()
+    sys.exit(main())

@@ -1,11 +1,12 @@
 """Hot inner kernels for pulse application, in two interchangeable backends.
 
 The sideband and carrier maps are 2x2 rotations applied across a strided
-complex vector; they dominate the runtime of Monte Carlo sweeps.  The
-default backend compiles them with numba (``@njit`` with on-disk caching).
-Set ``IONCHAIN_BACKEND=numpy`` to select the pure-numpy path instead, e.g.
+complex vector; they dominate the runtime of dense runs.  The default
+backend compiles them with numba (``@njit`` with on-disk caching).  Set
+``IONCHAIN_BACKEND=numpy`` to select the pure-numpy path instead, e.g.
 where numba is unavailable or for cross-checking.  Both implementations
-compute the same expressions in the same order.
+compute the same expressions in the same order; the numpy path and the
+batched Monte Carlo share ``rotate_pairs``.
 
 ``benchmarks/bench_backends.py`` compares the two paths.
 """
@@ -46,10 +47,33 @@ def _resolve_backend() -> str:
 BACKEND = _resolve_backend()
 
 
-def _pair_tables(theta: float, n_max: int) -> tuple[np.ndarray, np.ndarray]:
-    # Pair m couples |x,m> with |g,m+1>; rotation angle theta*sqrt(m+1)/2.
-    half = 0.5 * theta * np.sqrt(np.arange(1, n_max + 1, dtype=np.float64))
+def pair_tables(theta, n_max: int) -> tuple[np.ndarray, np.ndarray]:
+    """cos and sin of each sideband pair's half angle, Fock row m last.
+
+    Pair m couples |x,m> with |g,m+1>; its rotation angle is
+    theta*sqrt(m+1)/2.  ``theta`` may be a scalar or an array of areas, one
+    table row per area.
+    """
+    half = 0.5 * np.asarray(theta)[..., None] * np.sqrt(
+        np.arange(1, n_max + 1, dtype=np.float64)
+    )
     return np.cos(half), np.sin(half)
+
+
+def rotate_pairs(a, b, c, s, phi: float, out_a, out_b) -> None:
+    """Write the closed-form pulse on coupled amplitude pairs (a, b).
+
+    Sets ``out_a = c*a - e^{+i phi} s*b`` and ``out_b = c*b + e^{-i phi} s*a``;
+    the outputs must not overlap the inputs.  Sideband pairs are
+    (|g,m+1>, |x,m>) and carrier pairs (|e>, |g>); every caller goes through
+    this one expression, so dense and batched paths agree bitwise.  Writing
+    in place keeps one result at a time alive, which on long chains is
+    measurably faster than returning both.
+    """
+    e_plus = np.exp(1j * phi)
+    e_minus = np.exp(-1j * phi)
+    out_a[...] = c * a - e_plus * (s * b)
+    out_b[...] = c * b + e_minus * (s * a)
 
 
 # ---------------------------------------------------------------------------
@@ -66,16 +90,16 @@ def sideband_numpy(
     theta: float,
     phi: float,
 ) -> np.ndarray:
-    c, s = _pair_tables(theta, n_max)
-    e_plus = np.exp(1j * phi)
-    e_minus = np.exp(-1j * phi)
+    c, s = pair_tables(theta, n_max)
     pre = 3**ion0
     mid = 3 ** (n_ions - 1 - ion0)
     a = amps.reshape(pre, 3, mid, n_max + 1)
     out = a.copy()
     # |g,m+1> row then |x,m> row of each pair block.
-    out[:, 0, :, 1:] = c * a[:, 0, :, 1:] - e_plus * (s * a[:, x_level, :, :-1])
-    out[:, x_level, :, :-1] = c * a[:, x_level, :, :-1] + e_minus * (s * a[:, 0, :, 1:])
+    rotate_pairs(
+        a[:, 0, :, 1:], a[:, x_level, :, :-1], c, s, phi,
+        out[:, 0, :, 1:], out[:, x_level, :, :-1],
+    )
     return out.reshape(-1)
 
 
@@ -89,14 +113,11 @@ def carrier_numpy(
 ) -> np.ndarray:
     c = np.cos(0.5 * theta)
     s = np.sin(0.5 * theta)
-    e_plus = np.exp(1j * phi)
-    e_minus = np.exp(-1j * phi)
     pre = 3**ion0
     post = 3 ** (n_ions - 1 - ion0) * (n_max + 1)
     a = amps.reshape(pre, 3, post)
     out = a.copy()
-    out[:, 0, :] = c * a[:, 0, :] + e_minus * (s * a[:, 1, :])
-    out[:, 1, :] = c * a[:, 1, :] - e_plus * (s * a[:, 0, :])
+    rotate_pairs(a[:, 1, :], a[:, 0, :], c, s, phi, out[:, 1, :], out[:, 0, :])
     return out.reshape(-1)
 
 
@@ -146,7 +167,7 @@ if HAS_NUMBA:
                 out[idx] = amps[idx]
 
     def sideband_numba(amps, n_ions, n_max, ion0, x_level, theta, phi):
-        c, s = _pair_tables(theta, n_max)
+        c, s = pair_tables(theta, n_max)
         out = np.empty_like(amps)
         ion_stride = 3 ** (n_ions - 1 - ion0) * (n_max + 1)
         _sideband_jit(

@@ -257,7 +257,10 @@ def _select_sequence(args: argparse.Namespace) -> tuple[PulseSequence, str]:
 
 
 def _emit(doc: dict[str, Any], out: str | None) -> None:
-    text = json.dumps(doc, indent=2)
+    try:
+        text = json.dumps(doc, indent=2, allow_nan=False)
+    except ValueError as err:
+        raise ValidationError(f"report is not strict JSON: {err}") from err
     if out is None or out == "-":
         sys.stdout.write(text + "\n")
     else:

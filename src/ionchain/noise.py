@@ -7,18 +7,38 @@ headline figure customarily quoted for this protocol uses eight sideband
 excitations while the sequence as written contains ten.  The Monte Carlo
 model perturbs every sideband area theta to theta*(1+eps) with independent
 zero-mean Gaussian eps and scores each trial against the ideal final state.
+
+The Monte Carlo never evolves a dense register per trial.  A sideband pulse
+couples only |x,m> with |g,m+1> on one ion and a carrier only |g> with |e>,
+so the basis states a program can populate follow from its initial support
+and pulse pattern, whatever the areas.  The program is compiled once into
+index pairs over those states (262 of 3,645 for the six-ion program at
+n_max=4), and batches of trials step through it as (trials, support) arrays.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
+from ._kernels import pair_tables, rotate_pairs
 from .errors import TruncationError, ValidationError
-from .protocol import PulseSequence, run
-from .pulse import Pulse, SIDEBAND_KINDS
-from .verify import fidelity
+from .protocol import PulseSequence, run, step_error
+from .pulse import (
+    EXCITED_LEVEL,
+    SIDEBAND_KINDS,
+    TRUNCATION_ATOL,
+    Pulse,
+    truncation_error,
+)
+from .register import new_register
+
+#: Compact amplitudes one batch of trials may hold (16 bytes per trial and
+#: reachable state): 62 trials of the six-ion program's 262 states.
+BATCH_BYTES = 1 << 18
 
 
 @dataclass(frozen=True)
@@ -38,6 +58,10 @@ class NoiseConfig:
         if not 0.0 < self.per_pulse_fidelity <= 1.0:
             raise ValidationError(
                 f"per_pulse_fidelity must lie in (0, 1], got {self.per_pulse_fidelity}"
+            )
+        if not math.isfinite(self.jitter_sigma):
+            raise ValidationError(
+                f"jitter_sigma must be finite, got {self.jitter_sigma}"
             )
         if self.jitter_sigma < 0.0:
             raise ValidationError(
@@ -77,6 +101,104 @@ def fidelity_estimate(
     return float(per_pulse_fidelity**k)
 
 
+def batch_trials(support_size: int, trials: int) -> int:
+    """Trials per batch: as many support-sized rows as BATCH_BYTES holds, >= 1."""
+    return max(1, min(trials, BATCH_BYTES // (16 * support_size)))
+
+
+class _Step(NamedTuple):
+    """One pulse compiled to positions in the compact amplitude vector."""
+
+    pulse: Pulse
+    label: str | None
+    # The |g,m+1> (sideband) or |e> (carrier) member of every pair, then
+    # the partners in the same order: |x,m>, or |g>.
+    pairs: np.ndarray
+    rows: np.ndarray | None  # Fock row m of each sideband pair
+    top: np.ndarray  # reachable |x,n_max> states: the truncation guard
+
+
+def _compile(
+    seq: PulseSequence, initial: np.ndarray, n_max: int
+) -> tuple[np.ndarray, list[_Step]]:
+    """Reachable dense indices of ``seq`` and its steps' pairs among them.
+
+    Each step keeps only the pairs touching a state reachable before it, so
+    the support is the union of the steps' own reachable sets.
+    """
+    reach = initial != 0
+    grid = np.arange(reach.size)
+    dense_steps = []
+    for step in seq.steps:
+        pre = 3 ** (step.ion - 1)
+        if step.kind in SIDEBAND_KINDS:
+            x_level = int(EXCITED_LEVEL[step.kind])
+            shaped = grid.reshape(pre, 3, -1, n_max + 1)
+            first = shaped[:, 0, :, 1:]
+            second = shaped[:, x_level, :, :-1]
+            rows = np.broadcast_to(np.arange(n_max), first.shape)
+            top = shaped[:, x_level, :, n_max].ravel()
+            top = top[reach[top]]
+        else:
+            shaped = grid.reshape(pre, 3, -1)
+            first, second = shaped[:, 1], shaped[:, 0]
+            rows = None
+            top = grid[:0]
+        live = reach[first] | reach[second]
+        pairs = np.concatenate((first[live], second[live]))
+        reach[pairs] = True
+        dense_steps.append((pairs, None if rows is None else rows[live], top))
+    support = np.flatnonzero(reach)
+    compact = np.empty(reach.size, dtype=np.intp)
+    compact[support] = np.arange(support.size)
+    steps = [
+        _Step(pulse, label, compact[pairs], rows, compact[top])
+        for pulse, label, (pairs, rows, top) in zip(seq.steps, seq.labels, dense_steps)
+    ]
+    return support, steps
+
+
+def _evolve(
+    amps: np.ndarray, steps: list[_Step], thetas: np.ndarray, n_max: int
+) -> tuple[int, int, float] | None:
+    """Evolve the (trials, support) array ``amps`` through ``steps`` in place.
+
+    ``thetas`` holds each trial's sideband areas in step order.  Returns
+    (row, 1-based step, leaked probability) for the first row that tripped
+    the truncation guard, at its first tripping step, or None.  The leak is
+    summed over the reachable top-rung states only, so it may differ from a
+    dense run's in the last bit.
+    """
+    tripped = np.zeros(len(amps), dtype=np.intp)
+    leaks = np.zeros(len(amps))
+    column = 0
+    for index, step in enumerate(steps, start=1):
+        pulse = step.pulse
+        if pulse.kind in SIDEBAND_KINDS:
+            leak = np.sum(np.abs(amps[:, step.top]) ** 2, axis=1)
+            new = (leak > TRUNCATION_ATOL) & (tripped == 0)
+            tripped[new] = index
+            leaks[new] = leak[new]
+            c, s = pair_tables(thetas[:, column], n_max)
+            c, s = c[:, step.rows], s[:, step.rows]
+            column += 1
+        else:
+            c = np.cos(0.5 * pulse.theta)
+            s = np.sin(0.5 * pulse.theta)
+        pairs = amps[:, step.pairs]
+        out = np.empty_like(pairs)
+        half = pairs.shape[1] // 2
+        rotate_pairs(
+            pairs[:, :half], pairs[:, half:], c, s, pulse.phi,
+            out[:, :half], out[:, half:],
+        )
+        amps[:, step.pairs] = out
+    if not tripped.any():
+        return None
+    row = int(np.argmax(tripped > 0))
+    return row, int(tripped[row]), float(leaks[row])
+
+
 def monte_carlo(
     seq: PulseSequence,
     cfg: NoiseConfig,
@@ -88,38 +210,67 @@ def monte_carlo(
     step order, trials outermost, from numpy's default PCG64 generator
     seeded with cfg.seed.  Carrier pulses draw nothing and stay exact.
     Identical configs therefore give bitwise-identical samples, and runs
-    with the same seed but different sigma share the same underlying unit
-    draws (eps scales linearly with sigma).
+    with the same seed but different sigma share the same unit draws (eps
+    scales linearly with sigma).
 
-    Jittered sequences spread population above the levels the ideal run
-    touches, so n_max needs headroom: the ideal-run cutoff of 2 aborts
-    with TruncationError for any appreciable sigma, while n_max=4 is ample
-    for sigma up to 0.05.
+    Trials run in batches over the program's reachable subspace: one dense
+    ideal run, one compile of the pulse pattern into index pairs, then per
+    batch a (trials, support) complex array that every step gathers, rotates
+    and scatters in place.  Memory is bounded by the dense ideal state and
+    the compile's dense index arrays, plus a batch of at most BATCH_BYTES
+    (256 KiB) and its per-step temporaries, whatever the trial count.  Each
+    sample is scored against the dense ideal state through one reused dense
+    row, so it is bitwise the fidelity a dense run of the trial would give.
+
+    A trial whose jittered area is not finite raises the ValidationError
+    that Pulse gives; a trial that would couple more than 1e-12 past the
+    Fock cutoff raises TruncationError with its trial and step index.  The
+    first failing trial wins, as in a trial-by-trial run.  Jittered sequences
+    spread population above the levels the ideal run touches, so n_max needs
+    headroom: the ideal-run cutoff of 2 aborts for any appreciable sigma.
+    For the six-ion program n_max=4 is ample for sigma up to 0.05; longer
+    chains need more (chain:10 trips at n_max=4 with sigma 0.02).
     """
     ideal, _ = run(seq, n_max=n_max)
+    initial = new_register(list(seq.preps), n_max).amplitudes
+    support, steps = _compile(seq, initial, n_max)
+    jittered = [step for step in seq.steps if step.kind in SIDEBAND_KINDS]
+    areas = np.array([step.theta for step in jittered])
+    batch = batch_trials(support.size, cfg.trials)
     rng = np.random.default_rng(cfg.seed)
     samples = np.empty(cfg.trials, dtype=np.float64)
-    for trial in range(cfg.trials):
-        steps = []
-        for step in seq.steps:
-            if step.kind in SIDEBAND_KINDS:
-                eps = rng.normal(0.0, cfg.jitter_sigma)
-                steps.append(
-                    Pulse(step.kind, step.ion, step.phi, step.theta * (1.0 + eps))
-                )
-            else:
-                steps.append(step)
-        jittered = PulseSequence(seq.preps, tuple(steps), seq.labels)
-        try:
-            final, _ = run(jittered, n_max=n_max)
-        except TruncationError as err:
+    start_amps = initial[support]
+    dense = np.zeros(ideal.dim, dtype=np.complex128)
+    for start in range(0, cfg.trials, batch):
+        size = min(batch, cfg.trials - start)
+        eps = rng.normal(0.0, cfg.jitter_sigma, size=(size, len(jittered)))
+        with np.errstate(over="ignore", invalid="ignore"):
+            thetas = areas * (1.0 + eps)
+        finite = np.isfinite(thetas).all(axis=1)
+        good = size if finite.all() else int(np.argmin(finite))
+        amps = np.tile(start_amps, (good, 1))
+        failure = _evolve(amps, steps, thetas[:good], n_max)
+        if failure is not None:
+            row, index, leak = failure
+            step = steps[index - 1]
+            err = step_error(
+                truncation_error(step.pulse.ion, n_max, leak),
+                index, step.pulse, step.label,
+            )
             raise TruncationError(
-                f"trial {trial}: {err}",
-                leaked_probability=err.leaked_probability,
-                step_index=err.step_index,
-                trial_index=trial,
-            ) from err
-        samples[trial] = fidelity(final, ideal)
+                f"trial {start + row}: {err}",
+                leaked_probability=leak,
+                step_index=index,
+                trial_index=start + row,
+            )
+        if good < size:
+            column = int(np.argmin(np.isfinite(thetas[good])))
+            pulse = jittered[column]
+            # Raises the ValidationError a trial-by-trial run would.
+            Pulse(pulse.kind, pulse.ion, pulse.phi, float(thetas[good, column]))
+        for row in range(size):
+            dense[support] = amps[row]
+            samples[start + row] = abs(complex(np.vdot(ideal.amplitudes, dense))) ** 2
     mean = float(np.mean(samples))
     if cfg.trials > 1 and not np.all(samples == samples[0]):
         std_error = float(np.std(samples, ddof=1) / np.sqrt(cfg.trials))

@@ -147,6 +147,17 @@ def cluster6_sequence() -> PulseSequence:
     return chain_sequence(6)
 
 
+def step_error(
+    err: TruncationError, index: int, step: Pulse, label: str | None
+) -> TruncationError:
+    """``err`` restated for the 1-based step ``index`` of a sequence."""
+    return TruncationError(
+        f"step {index} ({label or step.kind.value} on ion {step.ion}): {err}",
+        leaked_probability=err.leaked_probability,
+        step_index=index,
+    )
+
+
 def run(
     seq: PulseSequence,
     n_max: int = 2,
@@ -164,11 +175,7 @@ def run(
         try:
             state = apply_pulse(state, step)
         except TruncationError as err:
-            raise TruncationError(
-                f"step {i} ({label or step.kind.value} on ion {step.ion}): {err}",
-                leaked_probability=err.leaked_probability,
-                step_index=i,
-            ) from err
+            raise step_error(err, i, step, label) from err
         if record_snapshots:
             snapshots.append(Snapshot(i, step, state, label))
     return state, snapshots

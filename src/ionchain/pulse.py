@@ -57,7 +57,7 @@ class PulseKind(str, Enum):
 
 SIDEBAND_KINDS = (PulseKind.SIDEBAND_GE, PulseKind.SIDEBAND_GEPRIME)
 
-_EXCITED_LEVEL = {
+EXCITED_LEVEL = {
     PulseKind.SIDEBAND_GE: IonLevel.E,
     PulseKind.SIDEBAND_GEPRIME: IonLevel.EPRIME,
 }
@@ -83,6 +83,15 @@ class Pulse:
     def inverse(self) -> "Pulse":
         """Same pulse run backwards (theta negated)."""
         return Pulse(self.kind, self.ion, self.phi, -self.theta)
+
+
+def truncation_error(ion: int, n_max: int, leak: float) -> TruncationError:
+    """The error a sideband pulse on ``ion`` raises for ``leak`` > TRUNCATION_ATOL."""
+    return TruncationError(
+        f"sideband pulse on ion {ion} would couple {leak:.3e} probability "
+        f"past the Fock cutoff n_max={n_max}; raise n_max",
+        leaked_probability=leak,
+    )
 
 
 def _check_ion(state: RegisterState, ion: int) -> None:
@@ -119,7 +128,7 @@ def apply_sideband(
     _check_ion(state, ion)
     if kind not in SIDEBAND_KINDS:
         raise ValidationError(f"{kind} is not a sideband pulse kind")
-    x_level = int(_EXCITED_LEVEL[kind])
+    x_level = int(EXCITED_LEVEL[kind])
     ion0 = ion - 1
     pre = 3**ion0
     mid = 3 ** (state.n_ions - 1 - ion0)
@@ -127,11 +136,7 @@ def apply_sideband(
     top = shaped[:, x_level, :, state.n_max]
     leak = float(np.sum(np.abs(top) ** 2))
     if leak > TRUNCATION_ATOL:
-        raise TruncationError(
-            f"sideband pulse on ion {ion} would couple {leak:.3e} probability "
-            f"past the Fock cutoff n_max={state.n_max}; raise n_max",
-            leaked_probability=leak,
-        )
+        raise truncation_error(ion, state.n_max, leak)
     out = _kernels.sideband_apply(
         state.amplitudes, state.n_ions, state.n_max, ion0, x_level, theta, phi
     )

@@ -14,6 +14,7 @@ index decomposition.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from enum import IntEnum
 from typing import Iterable, Sequence
@@ -45,8 +46,8 @@ LEVELS_BY_NAME = {name: level for level, name in LEVEL_NAMES.items()}
 class IonPrep:
     """Initial pure state of one ion, given as (level, coefficient) pairs.
 
-    Coefficients must be normalized within ``PREP_NORM_ATOL``; accepted
-    preparations are renormalized exactly.
+    Coefficients must be finite and normalized within ``PREP_NORM_ATOL``;
+    accepted preparations are renormalized exactly.
     """
 
     __slots__ = ("coefficients",)
@@ -54,7 +55,12 @@ class IonPrep:
     def __init__(self, pairs: Iterable[tuple[IonLevel, complex]]):
         coeffs = np.zeros(3, dtype=np.complex128)
         for level, value in pairs:
-            coeffs[IonLevel(level)] += complex(value)
+            value = complex(value)
+            if not (math.isfinite(value.real) and math.isfinite(value.imag)):
+                raise ValidationError(
+                    f"ion preparation coefficients must be finite, got {value!r}"
+                )
+            coeffs[IonLevel(level)] += value
         norm = float(np.linalg.norm(coeffs))
         if abs(norm - 1.0) > PREP_NORM_ATOL:
             raise ValidationError(

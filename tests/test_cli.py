@@ -7,6 +7,7 @@ import pytest
 
 from ionchain import cluster6_sequence, chain_sequence
 from ionchain.cli import (
+    _emit,
     main,
     sequence_from_document,
     sequence_to_document,
@@ -217,6 +218,27 @@ class TestRun:
         assert "step 3" in err
 
 
+    def test_nan_coefficient_exits_2(self, capsys, tmp_path):
+        # Python's json reads NaN; the report must never carry it.
+        path = tmp_path / "nan.json"
+        doc = sequence_to_document(chain_sequence(3))
+        doc["ions"][0][0]["re"] = math.nan
+        path.write_text(json.dumps(doc))
+        code, out, err = run_cli(capsys, "run", "--sequence", str(path))
+        assert code == 2
+        assert out == ""
+        assert "finite" in err
+
+    def test_reports_are_strict_json(self, tmp_path):
+        from ionchain import ValidationError
+
+        with pytest.raises(ValidationError, match="strict JSON"):
+            _emit({"fidelity": math.nan}, None)
+        with pytest.raises(ValidationError, match="strict JSON"):
+            _emit({"fidelity": math.inf}, str(tmp_path / "r.json"))
+        assert not (tmp_path / "r.json").exists()
+
+
 class TestNoise:
     def test_zero_jitter_mean_is_one(self, capsys):
         code, out, _ = run_cli(
@@ -258,3 +280,22 @@ class TestNoise:
             capsys, "noise", "--protocol", "cluster6", "--trials", "0",
         )
         assert code == 2
+
+    @pytest.mark.parametrize("sigma", ["nan", "inf"])
+    def test_non_finite_sigma_exits_2(self, capsys, sigma):
+        code, out, err = run_cli(
+            capsys, "noise", "--protocol", "cluster6", "--jitter-sigma", sigma,
+        )
+        assert code == 2
+        assert out == ""
+        assert "jitter_sigma" in err
+
+    def test_overflowing_jittered_area_exits_2(self, capsys):
+        code, out, err = run_cli(
+            capsys, "noise", "--protocol", "cluster6", "--jitter-sigma", "1e308",
+            "--trials", "3", "--n-max", "4",
+        )
+        assert code == 2
+        assert out == ""
+        assert err.count("\n") == 1
+        assert "pulse parameters must be finite" in err

@@ -71,6 +71,12 @@ class TestNewRegister:
         with pytest.raises(ValidationError):
             IonPrep([(IonLevel.G, 0.9), (IonLevel.E, 0.1)])
 
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, complex(0.0, math.nan)])
+    def test_rejects_non_finite_prep(self, bad):
+        # NaN slips past a norm check, since abs(nan - 1) > atol is False.
+        with pytest.raises(ValidationError, match="finite"):
+            IonPrep([(IonLevel.G, bad)])
+
     def test_prep_tolerates_tiny_norm_error(self):
         prep = IonPrep([(IonLevel.G, 1.0 + 1e-10)])
         assert np.linalg.norm(prep.coefficients) == pytest.approx(1.0, abs=1e-15)
