@@ -8,7 +8,6 @@ expectations and leakage bookkeeping.  A multiplicative per-pulse fidelity
 estimate and a pulse-area jitter Monte Carlo round out the error side.
 """
 
-from ._kernels import BACKEND
 from .errors import TruncationError, ValidationError
 from .noise import MonteCarloResult, NoiseConfig, fidelity_estimate, monte_carlo
 from .protocol import PulseSequence, Snapshot, chain_sequence, cluster6_sequence, run
@@ -51,7 +50,6 @@ from .verify import (
 __version__ = "0.1.0"
 
 __all__ = [
-    "BACKEND",
     "IonLevel",
     "IonPrep",
     "MonteCarloResult",

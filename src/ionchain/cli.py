@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 from typing import Any
 
@@ -66,7 +67,9 @@ def sequence_to_document(seq: PulseSequence) -> dict[str, Any]:
     return {"version": SEQUENCE_FILE_VERSION, "ions": ions, "steps": steps}
 
 
-def _require_keys(obj: dict, allowed: set[str], required: set[str], where: str) -> None:
+def _require_keys(obj: Any, allowed: set[str], required: set[str], where: str) -> None:
+    if not isinstance(obj, dict):
+        raise ValidationError(f"{where} must be a JSON object, got {obj!r}")
     unknown = set(obj) - allowed
     if unknown:
         raise ValidationError(f"unknown fields {sorted(unknown)} in {where}")
@@ -75,46 +78,79 @@ def _require_keys(obj: dict, allowed: set[str], required: set[str], where: str) 
         raise ValidationError(f"missing fields {sorted(missing)} in {where}")
 
 
+def _list(value: Any, where: str) -> list:
+    if not isinstance(value, list):
+        raise ValidationError(f"{where} must be a JSON list, got {value!r}")
+    return value
+
+
+def _name(value: Any, choices: dict[str, Any], where: str) -> Any:
+    """The entry of ``choices`` named by the string ``value``."""
+    if not isinstance(value, str) or value not in choices:
+        raise ValidationError(f"{where} must be one of {sorted(choices)}, got {value!r}")
+    return choices[value]
+
+
+def _number(value: Any, where: str) -> float:
+    """A finite JSON number; bools and strings are refused, not coerced."""
+    if isinstance(value, (int, float)) and not isinstance(value, bool):
+        try:
+            number = float(value)
+        except OverflowError:
+            number = math.inf
+        if math.isfinite(number):
+            return number
+    raise ValidationError(f"{where} must be a finite number, got {value!r}")
+
+
 def sequence_from_document(doc: Any) -> PulseSequence:
-    """Parse and validate a sequence document (strict: unknown fields rejected)."""
-    if not isinstance(doc, dict):
-        raise ValidationError("sequence document must be a JSON object")
+    """Parse and validate a sequence document.
+
+    Strict: unknown fields are rejected and no field is coerced to another
+    type.  ``version`` is the string "1"; ``level`` and ``kind`` are known
+    names; ``re``, ``im``, ``phi`` and ``theta`` are finite numbers; ``ion``
+    is an integer >= 1; ``label`` is a string when present.
+    """
     _require_keys(doc, {"version", "ions", "steps"}, {"version", "ions", "steps"},
                   "sequence document")
-    if str(doc["version"]) != SEQUENCE_FILE_VERSION:
+    if doc["version"] != SEQUENCE_FILE_VERSION:
         raise ValidationError(
-            f"unsupported sequence file version {doc['version']!r}"
+            f"unsupported sequence file version {doc['version']!r}; "
+            f"expected the string {SEQUENCE_FILE_VERSION!r}"
         )
     preps = []
-    for i, terms in enumerate(doc["ions"], start=1):
+    for i, terms in enumerate(_list(doc["ions"], "ions"), start=1):
         pairs = []
-        for term in terms:
-            _require_keys(term, {"level", "re", "im"}, {"level", "re", "im"},
-                          f"ion {i} preparation")
-            name = term["level"]
-            if name not in LEVELS_BY_NAME:
-                raise ValidationError(f"ion {i}: unknown level {name!r}")
-            pairs.append(
-                (LEVELS_BY_NAME[name], complex(float(term["re"]), float(term["im"])))
-            )
+        for term in _list(terms, f"ion {i} preparation"):
+            where = f"ion {i} preparation term"
+            _require_keys(term, {"level", "re", "im"}, {"level", "re", "im"}, where)
+            level = _name(term["level"], LEVELS_BY_NAME, f"{where} level")
+            re = _number(term["re"], f"{where} re")
+            im = _number(term["im"], f"{where} im")
+            pairs.append((level, complex(re, im)))
         preps.append(IonPrep(pairs))
     steps = []
     labels = []
     kinds = {k.value: k for k in PulseKind}
-    for j, entry in enumerate(doc["steps"], start=1):
+    for j, entry in enumerate(_list(doc["steps"], "steps"), start=1):
+        where = f"step {j}"
         _require_keys(entry, {"kind", "ion", "phi", "theta", "label"},
-                      {"kind", "ion", "phi", "theta"}, f"step {j}")
-        if entry["kind"] not in kinds:
-            raise ValidationError(f"step {j}: unknown pulse kind {entry['kind']!r}")
+                      {"kind", "ion", "phi", "theta"}, where)
+        ion = entry["ion"]
+        if not isinstance(ion, int) or isinstance(ion, bool) or ion < 1:
+            raise ValidationError(f"{where} ion must be an integer >= 1, got {ion!r}")
+        label = entry.get("label")
+        if "label" in entry and not isinstance(label, str):
+            raise ValidationError(f"{where} label must be a string, got {label!r}")
         steps.append(
             Pulse(
-                kinds[entry["kind"]],
-                int(entry["ion"]),
-                float(entry["phi"]),
-                float(entry["theta"]),
+                _name(entry["kind"], kinds, f"{where} kind"),
+                ion,
+                _number(entry["phi"], f"{where} phi"),
+                _number(entry["theta"], f"{where} theta"),
             )
         )
-        labels.append(entry.get("label"))
+        labels.append(label)
     return PulseSequence(tuple(preps), tuple(steps), tuple(labels))
 
 
@@ -124,7 +160,9 @@ def load_sequence(path: str) -> PulseSequence:
             doc = json.load(fh)
     except OSError as err:
         raise ValidationError(f"cannot read sequence file {path}: {err}") from err
-    except json.JSONDecodeError as err:
+    except (ValueError, RecursionError) as err:
+        # JSONDecodeError, bad UTF-8, an integer past Python's digit limit,
+        # or nesting deeper than the parser's recursion.
         raise ValidationError(f"sequence file {path} is not valid JSON: {err}") from err
     return sequence_from_document(doc)
 

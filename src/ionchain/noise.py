@@ -19,12 +19,12 @@ n_max=4), and batches of trials step through it as (trials, support) arrays.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
 
-from ._kernels import pair_tables, rotate_pairs
 from .errors import TruncationError, ValidationError
 from .protocol import PulseSequence, run, step_error
 from .pulse import (
@@ -32,13 +32,19 @@ from .pulse import (
     SIDEBAND_KINDS,
     TRUNCATION_ATOL,
     Pulse,
+    pair_tables,
+    rotate_pairs,
     truncation_error,
 )
-from .register import new_register
+from .register import MAX_AMPLITUDES, new_register
 
 #: Compact amplitudes one batch of trials may hold (16 bytes per trial and
 #: reachable state): 62 trials of the six-ion program's 262 states.
 BATCH_BYTES = 1 << 18
+
+
+def _is_int(value) -> bool:
+    return isinstance(value, numbers.Integral) and not isinstance(value, bool)
 
 
 @dataclass(frozen=True)
@@ -46,7 +52,10 @@ class NoiseConfig:
     """Knobs for the jitter Monte Carlo.
 
     jitter_sigma is the fractional pulse-area error (dimensionless);
-    per_pulse_fidelity feeds the multiplicative estimate.
+    per_pulse_fidelity feeds the multiplicative estimate.  trials is capped
+    at MAX_AMPLITUDES, the same budget as one register, since every trial
+    keeps a sample; seed is a non-negative integer, as numpy's generator
+    requires.
     """
 
     per_pulse_fidelity: float = 0.93
@@ -67,8 +76,14 @@ class NoiseConfig:
             raise ValidationError(
                 f"jitter_sigma must be >= 0, got {self.jitter_sigma}"
             )
-        if self.trials < 1:
-            raise ValidationError(f"trials must be >= 1, got {self.trials}")
+        if not _is_int(self.trials) or not 1 <= self.trials <= MAX_AMPLITUDES:
+            raise ValidationError(
+                f"trials must be an integer in 1..{MAX_AMPLITUDES}, got {self.trials!r}"
+            )
+        if not _is_int(self.seed) or self.seed < 0:
+            raise ValidationError(
+                f"seed must be a non-negative integer, got {self.seed!r}"
+            )
 
 
 @dataclass(frozen=True)

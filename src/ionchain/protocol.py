@@ -25,7 +25,13 @@ from .pulse import (
     map_mode_to_ion,
     phase_gate,
 )
-from .register import IonLevel, IonPrep, RegisterState, new_register
+from .register import (
+    IonLevel,
+    IonPrep,
+    RegisterState,
+    check_register_size,
+    new_register,
+)
 
 _INV_SQRT2 = 1.0 / sqrt(2.0)
 
@@ -101,10 +107,12 @@ def chain_sequence(n_ions: int) -> PulseSequence:
     phase gates; even ions from 4 up are prepared in (|g>-|e>)/sqrt(2) and
     routed through the bus, except the final even ion, which starts in
     (|g>+|e>)/sqrt(2).  For two ions the bus qubit takes its conditional
-    phase from ion 1 itself.
+    phase from ion 1 itself.  A chain too long to simulate even at
+    n_max=1 is refused before any preparation is built.
     """
     if n_ions < 2:
         raise ValidationError(f"chain needs at least 2 ions, got {n_ions}")
+    check_register_size(n_ions, 1)
 
     preps: list[IonPrep] = [_excited(), _ground()]
     for k in range(3, n_ions + 1):

@@ -30,6 +30,10 @@ NORM_ATOL = 1e-12
 #: being rejected (they are renormalized to machine precision on accept).
 PREP_NORM_ATOL = 1e-9
 
+#: Largest amplitude vector the simulator allocates: 2**24 complex128
+#: values, 268 MB.  Admits 14 ions at n_max=2 and 12 ions up to n_max=30.
+MAX_AMPLITUDES = 2**24
+
 
 class IonLevel(IntEnum):
     """Internal level of a single ion: ground, excited, auxiliary excited."""
@@ -165,6 +169,23 @@ def basis_label(state: RegisterState, index: int) -> str:
     return " ".join(reversed(names)) + f";{n}"
 
 
+def check_register_size(n_ions: int, n_max: int) -> None:
+    """Refuse, before anything is allocated, a register over MAX_AMPLITUDES.
+
+    The dimension is 3**n_ions * (n_max + 1).  Since 3**n >= 2**n, any
+    n_ions of at least MAX_AMPLITUDES.bit_length() is over the cap at every
+    n_max, so 3**n_ions is never formed for an absurd n_ions.
+    """
+    if (
+        n_ions >= MAX_AMPLITUDES.bit_length()
+        or 3**n_ions * (n_max + 1) > MAX_AMPLITUDES
+    ):
+        raise ValidationError(
+            f"{n_ions} ions at n_max={n_max} need 3^{n_ions}*{n_max + 1} "
+            f"amplitudes, over the limit of {MAX_AMPLITUDES}"
+        )
+
+
 def new_register(preps: Sequence[IonPrep], n_max: int) -> RegisterState:
     """Tensor product of the ion preparations with the mode in the vacuum.
 
@@ -179,6 +200,7 @@ def new_register(preps: Sequence[IonPrep], n_max: int) -> RegisterState:
         raise ValidationError("at least one ion preparation is required")
     if n_max < 1:
         raise ValidationError(f"n_max must be >= 1, got {n_max}")
+    check_register_size(len(preps), n_max)
     amps = np.ones(1, dtype=np.complex128)
     for prep in preps:
         amps = np.kron(amps, prep.coefficients)

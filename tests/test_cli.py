@@ -2,10 +2,14 @@ from __future__ import annotations
 
 import json
 import math
+import os
+import subprocess
+import sys
 
 import pytest
 
-from ionchain import cluster6_sequence, chain_sequence
+import ionchain
+from ionchain import cluster6_sequence, chain_sequence, register
 from ionchain.cli import (
     _emit,
     main,
@@ -18,6 +22,59 @@ def run_cli(capsys, *argv):
     code = main(list(argv))
     captured = capsys.readouterr()
     return code, captured.out, captured.err
+
+
+_CHAIN2_TEXT = json.dumps(sequence_to_document(chain_sequence(2)))
+
+
+def _mutated(path, value):
+    """A two-ion sequence document with the field at ``path`` set to ``value``."""
+    doc = json.loads(_CHAIN2_TEXT)
+    target = doc
+    for key in path[:-1]:
+        target = target[key]
+    target[path[-1]] = value
+    return json.dumps(doc)
+
+
+# Every wrongly typed field of a sequence file: each used to escape as a
+# traceback or be silently coerced.
+WRONGLY_TYPED = {
+    "ions-int": _mutated(["ions"], 5),
+    "ion-terms-int": _mutated(["ions", 0], 5),
+    "term-int": _mutated(["ions", 0, 0], 5),
+    "steps-int": _mutated(["steps"], 5),
+    "step-int": _mutated(["steps", 0], 5),
+    "theta-null": _mutated(["steps", 0, "theta"], None),
+    "theta-string": _mutated(["steps", 0, "theta"], "1.5"),
+    "phi-bool": _mutated(["steps", 0, "phi"], False),
+    "kind-list": _mutated(["steps", 0, "kind"], []),
+    "level-list": _mutated(["ions", 0, 0, "level"], []),
+    "ion-float": _mutated(["steps", 0, "ion"], 1.9),
+    "ion-integral-float": _mutated(["steps", 0, "ion"], 1.0),
+    "ion-string": _mutated(["steps", 0, "ion"], "1"),
+    "ion-bool": _mutated(["steps", 0, "ion"], True),
+    "ion-zero": _mutated(["steps", 0, "ion"], 0),
+    "ion-overflow": _CHAIN2_TEXT.replace('"ion": 1,', '"ion": 1e400,', 1),
+    "re-string": _mutated(["ions", 0, 0, "re"], "1"),
+    "re-bool": _mutated(["ions", 0, 0, "re"], True),
+    "im-infinity": _mutated(["ions", 0, 0, "im"], math.inf),
+    "version-int": _mutated(["version"], 1),
+    "label-int": _mutated(["steps", 0, "label"], 5),
+    "label-null": _mutated(["steps", 0, "label"], None),
+    "theta-int-past-float": _mutated(["steps", 0, "theta"], 10**400),
+    "integer-past-digit-limit": _CHAIN2_TEXT.replace(
+        '"ion": 1,', '"ion": ' + "9" * 5000 + ",", 1
+    ),
+    "not-utf8": "\udcff",
+}
+
+
+def _python_env():
+    """Environment whose PYTHONPATH finds the ionchain under test."""
+    src = os.path.dirname(os.path.dirname(ionchain.__file__))
+    path = os.environ.get("PYTHONPATH")
+    return dict(os.environ, PYTHONPATH=src + (os.pathsep + path if path else ""))
 
 
 class TestEmit:
@@ -229,6 +286,45 @@ class TestRun:
         assert out == ""
         assert "finite" in err
 
+    @pytest.mark.parametrize("text", WRONGLY_TYPED.values(), ids=WRONGLY_TYPED.keys())
+    def test_wrongly_typed_sequence_exits_2(self, capsys, tmp_path, text):
+        path = tmp_path / "typed.json"
+        path.write_bytes(text.encode("utf-8", "surrogateescape"))
+        code, out, err = run_cli(capsys, "run", "--sequence", str(path))
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error: ") and err.count("\n") == 1
+
+    def test_well_typed_variants_still_run(self, capsys, tmp_path):
+        # Integer numbers and a present string label are the strict types.
+        path = tmp_path / "ints.json"
+        path.write_text(_mutated(["ions", 0, 0, "im"], 0).replace('"re": 1.0', '"re": 1'))
+        code, _, err = run_cli(capsys, "run", "--sequence", str(path))
+        assert (code, err) == (0, "")
+
+    def test_oversized_problems_exit_2(self, capsys, monkeypatch, tmp_path):
+        monkeypatch.setattr(register, "MAX_AMPLITUDES", 3**6 * 3)
+        code, out, _ = run_cli(capsys, "run", "--protocol", "cluster6")
+        assert code == 0 and out
+        cases = [
+            ("run", "--protocol", "cluster6", "--n-max", "3"),
+            ("run", "--protocol", "chain:7"),
+            ("noise", "--protocol", "cluster6", "--n-max", "4"),
+            ("emit", "--protocol", "chain:7"),
+            ("run", "--protocol", "chain:100000000"),
+        ]
+        path = tmp_path / "seven.json"
+        doc = sequence_to_document(cluster6_sequence())
+        doc["ions"].append(doc["ions"][0])
+        path.write_text(json.dumps(doc))
+        cases.append(("run", "--sequence", str(path)))
+        for argv in cases:
+            code, out, err = run_cli(capsys, *argv)
+            assert code == 2, argv
+            assert out == ""
+            assert err.startswith("error: ") and "over the limit" in err
+            assert err.count("\n") == 1
+
     def test_reports_are_strict_json(self, tmp_path):
         from ionchain import ValidationError
 
@@ -281,6 +377,15 @@ class TestNoise:
         )
         assert code == 2
 
+    @pytest.mark.parametrize("argv", [("--seed", "-1"), ("--trials", str(10**12))])
+    def test_bad_seed_or_trials_exits_2(self, capsys, argv):
+        code, out, err = run_cli(
+            capsys, "noise", "--protocol", "cluster6", "--trials", "2", *argv,
+        )
+        assert code == 2
+        assert out == ""
+        assert argv[0][2:] in err and err.count("\n") == 1
+
     @pytest.mark.parametrize("sigma", ["nan", "inf"])
     def test_non_finite_sigma_exits_2(self, capsys, sigma):
         code, out, err = run_cli(
@@ -299,3 +404,23 @@ class TestNoise:
         assert out == ""
         assert err.count("\n") == 1
         assert "pulse parameters must be finite" in err
+
+
+class TestProcess:
+    """Whole interpreter processes: nothing is printed that was not asked for."""
+
+    def test_import_is_silent_with_warnings_as_errors(self):
+        out = subprocess.run(
+            [sys.executable, "-W", "error", "-c", "import ionchain"],
+            env=_python_env(), capture_output=True, text=True,
+        )
+        assert (out.returncode, out.stderr, out.stdout) == (0, "", "")
+
+    def test_error_is_one_stderr_line(self):
+        out = subprocess.run(
+            [sys.executable, "-m", "ionchain.cli", "run", "--protocol", "chain:1"],
+            env=_python_env(), capture_output=True, text=True,
+        )
+        assert out.returncode == 2
+        assert out.stdout == ""
+        assert out.stderr.startswith("error: ") and out.stderr.count("\n") == 1

@@ -29,6 +29,7 @@ from ionchain import (
 )
 from ionchain.cli import load_sequence
 from ionchain.noise import BATCH_BYTES, _compile, batch_trials
+from ionchain.register import MAX_AMPLITUDES
 
 # Frozen on first computation: cluster6, sigma=0.02, trials=1000, seed=1,
 # n_max=4 (jittered runs need Fock headroom above the ideal-run cutoff).
@@ -82,6 +83,21 @@ class TestNoiseConfig:
             NoiseConfig(jitter_sigma=-0.1)
         with pytest.raises(ValidationError):
             NoiseConfig(trials=0)
+
+    @pytest.mark.parametrize("seed", [-1, 1.5, True, "1"])
+    def test_rejects_seed_that_is_not_a_non_negative_int(self, seed):
+        with pytest.raises(ValidationError, match="seed"):
+            NoiseConfig(seed=seed)
+
+    @pytest.mark.parametrize("trials", [MAX_AMPLITUDES + 1, 10**12, 2.5, True])
+    def test_rejects_trials_outside_the_budget(self, trials):
+        # Checked before monte_carlo allocates one sample per trial.
+        with pytest.raises(ValidationError, match="trials"):
+            NoiseConfig(trials=trials)
+
+    def test_accepts_bounds(self):
+        assert NoiseConfig(trials=MAX_AMPLITUDES, seed=0).trials == MAX_AMPLITUDES
+        assert NoiseConfig(seed=np.int64(3), trials=np.int64(2)).seed == 3
 
     @pytest.mark.parametrize("sigma", [math.nan, math.inf, -math.inf])
     def test_rejects_non_finite_sigma(self, sigma):

@@ -12,13 +12,17 @@ from ionchain import (
     ValidationError,
     basis_index,
     basis_label,
+    chain_sequence,
     global_phase_alignment,
     inner_product,
     mode_population,
     new_register,
     population,
+    reference_cluster,
     states_allclose,
 )
+from ionchain import register
+from ionchain.register import MAX_AMPLITUDES, check_register_size
 from conftest import make_random_state
 
 INV_SQRT2 = 1.0 / math.sqrt(2.0)
@@ -80,6 +84,46 @@ class TestNewRegister:
     def test_prep_tolerates_tiny_norm_error(self):
         prep = IonPrep([(IonLevel.G, 1.0 + 1e-10)])
         assert np.linalg.norm(prep.coefficients) == pytest.approx(1.0, abs=1e-15)
+
+
+class TestAmplitudeCap:
+    """Oversized registers are refused from the arithmetic, never allocated."""
+
+    @pytest.mark.parametrize("n_ions, n_max", [(14, 2), (12, 30), (1, 5_592_404)])
+    def test_admits_up_to_the_cap(self, n_ions, n_max):
+        assert 3**n_ions * (n_max + 1) <= MAX_AMPLITUDES
+        check_register_size(n_ions, n_max)
+
+    @pytest.mark.parametrize(
+        "n_ions, n_max", [(15, 2), (15, 1), (12, 31), (1, 5_592_405), (20, 2), (10**8, 1)]
+    )
+    def test_refuses_over_the_cap(self, n_ions, n_max):
+        with pytest.raises(ValidationError, match="over the limit"):
+            check_register_size(n_ions, n_max)
+
+    def test_cap_is_268_mb_of_complex128(self):
+        assert MAX_AMPLITUDES * 16 == 268_435_456
+
+    def test_new_register_checks_before_allocating(self, monkeypatch):
+        monkeypatch.setattr(register, "MAX_AMPLITUDES", 3**3 * 3)
+        preps = [IonPrep.basis(IonLevel.G)] * 3
+        assert new_register(preps, n_max=2).dim == 81
+        with pytest.raises(ValidationError, match="over the limit of 81"):
+            new_register(preps, n_max=3)
+        with pytest.raises(ValidationError, match="over the limit of 81"):
+            new_register(preps + preps[:1], n_max=1)
+
+    def test_reference_cluster_checks_before_allocating(self, monkeypatch):
+        monkeypatch.setattr(register, "MAX_AMPLITUDES", 3**3 * 3)
+        assert reference_cluster(3, n_max=2).dim == 81
+        with pytest.raises(ValidationError, match="over the limit"):
+            reference_cluster(3, n_max=3)
+
+    def test_chain_sequence_refuses_chains_too_long_at_n_max_1(self):
+        assert chain_sequence(14).n_ions == 14
+        for n in (15, 10**8):
+            with pytest.raises(ValidationError, match="at n_max=1"):
+                chain_sequence(n)
 
 
 class TestInnerProduct:
