@@ -22,7 +22,7 @@ from .errors import TruncationError, ValidationError
 from .noise import NoiseConfig, fidelity_estimate, monte_carlo
 from .protocol import PulseSequence, Snapshot, chain_sequence, cluster6_sequence, run
 from .pulse import Pulse, PulseKind
-from .register import LEVELS_BY_NAME, IonPrep, RegisterState, basis_label
+from .register import LEVELS_BY_NAME, IonPrep, RegisterState, basis_label, require_int
 from .verify import verify_run
 
 SEQUENCE_FILE_VERSION = "1"
@@ -136,9 +136,7 @@ def sequence_from_document(doc: Any) -> PulseSequence:
         where = f"step {j}"
         _require_keys(entry, {"kind", "ion", "phi", "theta", "label"},
                       {"kind", "ion", "phi", "theta"}, where)
-        ion = entry["ion"]
-        if not isinstance(ion, int) or isinstance(ion, bool) or ion < 1:
-            raise ValidationError(f"{where} ion must be an integer >= 1, got {ion!r}")
+        ion = require_int(entry["ion"], f"{where} ion", 1)
         label = entry.get("label")
         if "label" in entry and not isinstance(label, str):
             raise ValidationError(f"{where} label must be a string, got {label!r}")
@@ -285,6 +283,10 @@ def _select_sequence(args: argparse.Namespace) -> tuple[PulseSequence, str]:
     if protocol.startswith("chain:"):
         tail = protocol.split(":", 1)[1]
         try:
+            # ASCII digits only: int() would also take signs, spaces,
+            # underscores and other scripts' digits.
+            if not (tail.isascii() and tail.isdigit()):
+                raise ValueError(tail)
             n = int(tail)
         except ValueError:
             raise ValidationError(f"bad chain size {tail!r} in --protocol") from None

@@ -19,7 +19,6 @@ n_max=4), and batches of trials step through it as (trials, support) arrays.
 from __future__ import annotations
 
 import math
-import numbers
 from dataclasses import dataclass
 from typing import NamedTuple
 
@@ -28,23 +27,19 @@ import numpy as np
 from .errors import TruncationError, ValidationError
 from .protocol import PulseSequence, run, step_error
 from .pulse import (
-    EXCITED_LEVEL,
     SIDEBAND_KINDS,
     TRUNCATION_ATOL,
     Pulse,
-    pair_tables,
+    coupled_pairs,
+    pulse_tables,
     rotate_pairs,
     truncation_error,
 )
-from .register import MAX_AMPLITUDES, new_register
+from .register import MAX_AMPLITUDES, new_register, require_int
 
 #: Compact amplitudes one batch of trials may hold (16 bytes per trial and
 #: reachable state): 62 trials of the six-ion program's 262 states.
 BATCH_BYTES = 1 << 18
-
-
-def _is_int(value) -> bool:
-    return isinstance(value, numbers.Integral) and not isinstance(value, bool)
 
 
 @dataclass(frozen=True)
@@ -76,14 +71,8 @@ class NoiseConfig:
             raise ValidationError(
                 f"jitter_sigma must be >= 0, got {self.jitter_sigma}"
             )
-        if not _is_int(self.trials) or not 1 <= self.trials <= MAX_AMPLITUDES:
-            raise ValidationError(
-                f"trials must be an integer in 1..{MAX_AMPLITUDES}, got {self.trials!r}"
-            )
-        if not _is_int(self.seed) or self.seed < 0:
-            raise ValidationError(
-                f"seed must be a non-negative integer, got {self.seed!r}"
-            )
+        require_int(self.trials, "trials", 1, MAX_AMPLITUDES)
+        require_int(self.seed, "seed", 0)
 
 
 @dataclass(frozen=True)
@@ -106,11 +95,7 @@ def fidelity_estimate(
             f"per_pulse_fidelity must lie in (0, 1], got {per_pulse_fidelity}"
         )
     if pulse_count_override is not None:
-        if pulse_count_override < 0:
-            raise ValidationError(
-                f"pulse_count_override must be >= 0, got {pulse_count_override}"
-            )
-        k = pulse_count_override
+        k = require_int(pulse_count_override, "pulse_count_override", 0)
     else:
         k = seq.sideband_count()
     return float(per_pulse_fidelity**k)
@@ -126,10 +111,10 @@ class _Step(NamedTuple):
 
     pulse: Pulse
     label: str | None
-    # The |g,m+1> (sideband) or |e> (carrier) member of every pair, then
-    # the partners in the same order: |x,m>, or |g>.
+    # The a members of the pulse's coupled pairs, then their b partners in
+    # the same order (see pulse.coupled_pairs).
     pairs: np.ndarray
-    rows: np.ndarray | None  # Fock row m of each sideband pair
+    rows: np.ndarray  # Fock row of each pair
     top: np.ndarray  # reachable |x,n_max> states: the truncation guard
 
 
@@ -145,24 +130,14 @@ def _compile(
     grid = np.arange(reach.size)
     dense_steps = []
     for step in seq.steps:
-        pre = 3 ** (step.ion - 1)
-        if step.kind in SIDEBAND_KINDS:
-            x_level = int(EXCITED_LEVEL[step.kind])
-            shaped = grid.reshape(pre, 3, -1, n_max + 1)
-            first = shaped[:, 0, :, 1:]
-            second = shaped[:, x_level, :, :-1]
-            rows = np.broadcast_to(np.arange(n_max), first.shape)
-            top = shaped[:, x_level, :, n_max].ravel()
-            top = top[reach[top]]
-        else:
-            shaped = grid.reshape(pre, 3, -1)
-            first, second = shaped[:, 1], shaped[:, 0]
-            rows = None
-            top = grid[:0]
+        first, second, top = coupled_pairs(grid, step, n_max)
+        rows = np.broadcast_to(np.arange(first.shape[-1]), first.shape)
+        top = top.ravel()
+        top = top[reach[top]]
         live = reach[first] | reach[second]
         pairs = np.concatenate((first[live], second[live]))
         reach[pairs] = True
-        dense_steps.append((pairs, None if rows is None else rows[live], top))
+        dense_steps.append((pairs, rows[live], top))
     support = np.flatnonzero(reach)
     compact = np.empty(reach.size, dtype=np.intp)
     compact[support] = np.arange(support.size)
@@ -194,12 +169,11 @@ def _evolve(
             new = (leak > TRUNCATION_ATOL) & (tripped == 0)
             tripped[new] = index
             leaks[new] = leak[new]
-            c, s = pair_tables(thetas[:, column], n_max)
+            c, s = pulse_tables(pulse.kind, thetas[:, column], n_max)
             c, s = c[:, step.rows], s[:, step.rows]
             column += 1
         else:
-            c = np.cos(0.5 * pulse.theta)
-            s = np.sin(0.5 * pulse.theta)
+            c, s = pulse_tables(pulse.kind, pulse.theta, n_max)
         pairs = amps[:, step.pairs]
         out = np.empty_like(pairs)
         half = pairs.shape[1] // 2

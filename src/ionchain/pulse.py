@@ -39,7 +39,7 @@ from enum import Enum
 import numpy as np
 
 from .errors import TruncationError, ValidationError
-from .register import IonLevel, RegisterState
+from .register import IonLevel, RegisterState, ion_axes, require_int
 
 #: A sideband pulse aborts when the top coupled component carries more
 #: probability than this.
@@ -72,8 +72,9 @@ class Pulse:
     theta: float
 
     def __post_init__(self):
-        if self.ion < 1:
-            raise ValidationError(f"ion index must be >= 1, got {self.ion}")
+        if self.kind not in tuple(PulseKind):
+            raise ValidationError(f"unknown pulse kind {self.kind!r}")
+        require_int(self.ion, "ion index", 1)
         if not (math.isfinite(self.phi) and math.isfinite(self.theta)):
             raise ValidationError(
                 f"pulse parameters must be finite, got phi={self.phi}, theta={self.theta}"
@@ -84,16 +85,28 @@ class Pulse:
         return Pulse(self.kind, self.ion, self.phi, -self.theta)
 
 
-def pair_tables(theta, n_max: int) -> tuple[np.ndarray, np.ndarray]:
-    """cos and sin of each sideband pair's half angle, Fock row m last.
+def coupled_pairs(block: np.ndarray, pulse: Pulse, n_max: int):
+    """Views (a, b, top) of ``block``: the pairs ``pulse`` rotates, Fock row last.
 
-    Pair m couples |x,m> with |g,m+1>; its rotation angle is
-    theta*sqrt(m+1)/2.  ``theta`` may be a scalar or an array of areas, one
-    table row per area.
+    A sideband pairs a = |g,m+1> with b = |x,m> and guards top = |x,n_max>;
+    a carrier pairs a = |e> with b = |g> and guards nothing (top is empty).
     """
-    half = 0.5 * np.asarray(theta)[..., None] * np.sqrt(
-        np.arange(1, n_max + 1, dtype=np.float64)
-    )
+    axes = ion_axes(block, pulse.ion, n_max)
+    if pulse.kind == PulseKind.CARRIER:
+        return axes[:, 1], axes[:, 0], block[:0]
+    x_level = int(EXCITED_LEVEL[pulse.kind])
+    return axes[:, 0, :, 1:], axes[:, x_level, :, :-1], axes[:, x_level, :, n_max]
+
+
+def pulse_tables(kind: PulseKind, theta, n_max: int) -> tuple[np.ndarray, np.ndarray]:
+    """cos and sin of the half angle each pair turns by, Fock row m last.
+
+    A carrier turns every pair by theta/2; sideband pair m by
+    theta*sqrt(m+1)/2.  ``theta`` may be an array of areas, one row each.
+    """
+    half = 0.5 * np.asarray(theta)
+    if kind in SIDEBAND_KINDS:
+        half = half[..., None] * np.sqrt(np.arange(1, n_max + 1, dtype=np.float64))
     return np.cos(half), np.sin(half)
 
 
@@ -122,9 +135,23 @@ def truncation_error(ion: int, n_max: int, leak: float) -> TruncationError:
     )
 
 
-def _check_ion(state: RegisterState, ion: int) -> None:
-    if not 1 <= ion <= state.n_ions:
-        raise ValidationError(f"ion {ion} outside 1..{state.n_ions}")
+def apply_pulse(state: RegisterState, pulse: Pulse) -> RegisterState:
+    """Apply one pulse; ValidationError for an ion the register lacks.
+
+    A sideband pulse raises TruncationError instead of running when the
+    state carries more than 1e-12 probability on |x, n_max>.
+    """
+    if pulse.ion > state.n_ions:
+        raise ValidationError(f"ion {pulse.ion} outside 1..{state.n_ions}")
+    a, b, top = coupled_pairs(state.amplitudes, pulse, state.n_max)
+    leak = float(np.sum(np.abs(top) ** 2))
+    if leak > TRUNCATION_ATOL:
+        raise truncation_error(pulse.ion, state.n_max, leak)
+    c, s = pulse_tables(pulse.kind, pulse.theta, state.n_max)
+    out = state.amplitudes.copy()
+    out_a, out_b, _ = coupled_pairs(out, pulse, state.n_max)
+    rotate_pairs(a, b, c, s, pulse.phi, out_a, out_b)
+    return RegisterState(state.n_ions, state.n_max, out)
 
 
 def apply_sideband(
@@ -134,45 +161,14 @@ def apply_sideband(
     phi: float,
     theta: float,
 ) -> RegisterState:
-    """Apply a red-sideband pulse on the chosen transition of one ion.
+    """Red-sideband pulse of ``kind`` (SIDEBAND_GE or SIDEBAND_GEPRIME) on ``ion``.
 
-    Parameters
-    ----------
-    state : RegisterState
-        Input state; must carry no more than 1e-12 probability on the top
-        coupled component |x, n_max>.
-    ion : int
-        1-based ion index.
-    kind : PulseKind
-        SIDEBAND_GE or SIDEBAND_GEPRIME, selecting the excited level x.
-    phi, theta : float
-        Laser phase and pulse area in radians.
-
-    Raises
-    ------
-    TruncationError
-        If the pulse would couple amplitude past the Fock cutoff.
+    ``ion`` is 1-based; phi and theta are the laser phase and pulse area in
+    radians.  Runs as ``apply_pulse``, TruncationError included.
     """
-    _check_ion(state, ion)
     if kind not in SIDEBAND_KINDS:
         raise ValidationError(f"{kind} is not a sideband pulse kind")
-    x_level = int(EXCITED_LEVEL[kind])
-    ion0 = ion - 1
-    pre = 3**ion0
-    mid = 3 ** (state.n_ions - 1 - ion0)
-    shaped = state.amplitudes.reshape(pre, 3, mid, state.n_max + 1)
-    top = shaped[:, x_level, :, state.n_max]
-    leak = float(np.sum(np.abs(top) ** 2))
-    if leak > TRUNCATION_ATOL:
-        raise truncation_error(ion, state.n_max, leak)
-    c, s = pair_tables(theta, state.n_max)
-    out = shaped.copy()
-    # |g,m+1> row then |x,m> row of each pair block.
-    rotate_pairs(
-        shaped[:, 0, :, 1:], shaped[:, x_level, :, :-1], c, s, phi,
-        out[:, 0, :, 1:], out[:, x_level, :, :-1],
-    )
-    return RegisterState(state.n_ions, state.n_max, out.reshape(-1))
+    return apply_pulse(state, Pulse(kind, ion, phi, theta))
 
 
 def apply_carrier(
@@ -182,23 +178,7 @@ def apply_carrier(
     phi_c: float,
 ) -> RegisterState:
     """Rotate the g-e pair of one ion, leaving e' and every Fock level alone."""
-    _check_ion(state, ion)
-    c = np.cos(0.5 * theta_c)
-    s = np.sin(0.5 * theta_c)
-    pre = 3 ** (ion - 1)
-    shaped = state.amplitudes.reshape(pre, 3, -1)
-    out = shaped.copy()
-    rotate_pairs(
-        shaped[:, 1, :], shaped[:, 0, :], c, s, phi_c, out[:, 1, :], out[:, 0, :]
-    )
-    return RegisterState(state.n_ions, state.n_max, out.reshape(-1))
-
-
-def apply_pulse(state: RegisterState, pulse: Pulse) -> RegisterState:
-    """Dispatch a Pulse record to the matching unitary."""
-    if pulse.kind == PulseKind.CARRIER:
-        return apply_carrier(state, pulse.ion, pulse.theta, pulse.phi)
-    return apply_sideband(state, pulse.ion, pulse.kind, pulse.phi, pulse.theta)
+    return apply_pulse(state, Pulse(PulseKind.CARRIER, ion, phi_c, theta_c))
 
 
 # ---------------------------------------------------------------------------

@@ -10,11 +10,16 @@ base-3 digit (g=0, e=1, e'=2), ions follow in increasing order, and the
 phonon number is the least significant index.  Written kets such as
 ``|e g g;1>`` therefore read left to right exactly like the amplitude
 index decomposition.
+
+``ion_axes`` is the one place that turns this layout into array axes for
+one ion: every pulse, the Monte Carlo compile and the stabilizer checks
+read and write amplitudes through that view.
 """
 
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass, field
 from enum import IntEnum
 from typing import Iterable, Sequence
@@ -167,6 +172,24 @@ def basis_label(state: RegisterState, index: int) -> str:
         digits, d = divmod(digits, 3)
         names.append(LEVEL_NAMES[IonLevel(d)])
     return " ".join(reversed(names)) + f";{n}"
+
+
+def require_int(value, what: str, low: int, high: int | None = None):
+    """``value`` if it is an integer in low..high (never a bool), else ValidationError."""
+    if not isinstance(value, numbers.Integral) or isinstance(value, bool) or not (
+        low <= value and (high is None or value <= high)
+    ):
+        bounds = f">= {low}" if high is None else f"in {low}..{high}"
+        raise ValidationError(f"{what} must be an integer {bounds}, got {value!r}")
+    return value
+
+
+def ion_axes(block: np.ndarray, ion: int, n_max: int) -> np.ndarray:
+    """View of flat basis-ordered ``block``: (earlier ions, ``ion``, later ions, mode).
+
+    Axis 1 is the 1-based ion's level (g, e, e'); writes go to ``block``.
+    """
+    return block.reshape(3 ** (ion - 1), 3, -1, n_max + 1)
 
 
 def check_register_size(n_ions: int, n_max: int) -> None:

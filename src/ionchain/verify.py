@@ -25,6 +25,7 @@ from .register import (
     check_register_size,
     global_phase_alignment,
     inner_product,
+    ion_axes,
     mode_population,
     population,
 )
@@ -52,18 +53,12 @@ def reference_cluster(n_qubits: int, n_max: int = 2) -> RegisterState:
         raise ValidationError(f"n_max must be >= 1, got {n_max}")
     check_register_size(n_qubits, n_max)
     scale = 2.0 ** (-n_qubits / 2.0)
+    # Row k of ``levels`` is the basis label k, 0 -> |g>, 1 -> |e>, ion 1 first.
+    levels = (np.arange(2**n_qubits)[:, None] >> np.arange(n_qubits - 1, -1, -1)) & 1
+    flips = np.sum((levels[:, :-1] == 0) & (levels[:, 1:] == 1), axis=1)
+    digits = levels @ 3 ** np.arange(n_qubits - 1, -1, -1)
     amps = np.zeros(3**n_qubits * (n_max + 1), dtype=np.complex128)
-    for bits in range(2**n_qubits):
-        # Bit alpha of the basis label: 0 -> |g>, 1 -> |e>; bit 0 is ion 1.
-        levels = [(bits >> (n_qubits - 1 - a)) & 1 for a in range(n_qubits)]
-        sign = 1.0
-        for a in range(n_qubits - 1):
-            if levels[a] == 0 and levels[a + 1] == 1:
-                sign = -sign
-        digits = 0
-        for level in levels:
-            digits = digits * 3 + level
-        amps[digits * (n_max + 1)] = sign * scale
+    amps[digits * (n_max + 1)] = np.where(flips % 2 == 1, -scale, scale)
     return RegisterState(n_qubits, n_max, amps)
 
 
@@ -72,27 +67,14 @@ def fidelity(state: RegisterState, ref: RegisterState) -> float:
     return float(abs(inner_product(ref, state)) ** 2)
 
 
-def _apply_single_ion_operator(
-    state: RegisterState, ion: int, op: np.ndarray
-) -> np.ndarray:
-    """Apply a 3x3 operator to one ion of a flat amplitude vector."""
-    ion0 = ion - 1
-    pre = 3**ion0
-    post = 3 ** (state.n_ions - 1 - ion0) * (state.n_max + 1)
-    shaped = state.amplitudes.reshape(pre, 3, post)
-    return np.einsum("ij,ajb->aib", op, shaped).reshape(-1)
-
-
-_X_QUBIT = np.array([[0, 1, 0], [1, 0, 0], [0, 0, 0]], dtype=np.complex128)
-_Z_QUBIT = np.array([[1, 0, 0], [0, -1, 0], [0, 0, 0]], dtype=np.complex128)
-
-
 def stabilizer_expectations(state: RegisterState) -> list[float]:
     """<K_a> for a = 1..N, with K_a = Z_(a-1) X_a Z_(a+1) on the g-e subspace.
 
-    Raises a ValidationError naming the leaking ion if any ion carries
-    more than 1e-9 population on e' (the operators are only defined on the
-    qubit subspace).
+    Each K_a is a signed permutation: X_a swaps ion a's g and e rows, and Z
+    negates a neighbour's e row and zeroes its e' row.  Raises a
+    ValidationError naming the leaking ion if any ion carries more than
+    1e-9 population on e' (the operators are only defined on the qubit
+    subspace).
     """
     n = state.n_ions
     for ion in range(1, n + 1):
@@ -103,14 +85,19 @@ def stabilizer_expectations(state: RegisterState) -> list[float]:
                 "are defined on the g-e subspace only"
             )
     values: list[float] = []
+    scratch = np.empty_like(state.amplitudes)
     for a in range(1, n + 1):
-        vec = _apply_single_ion_operator(state, a, _X_QUBIT)
-        scratch = RegisterState(n, state.n_max, vec)
+        source = ion_axes(state.amplitudes, a, state.n_max)
+        target = ion_axes(scratch, a, state.n_max)
+        target[:, 0] = source[:, 1]
+        target[:, 1] = source[:, 0]
+        target[:, 2] = 0.0
         for nb in (a - 1, a + 1):
             if 1 <= nb <= n:
-                vec = _apply_single_ion_operator(scratch, nb, _Z_QUBIT)
-                scratch = RegisterState(n, state.n_max, vec)
-        value = complex(np.vdot(state.amplitudes, scratch.amplitudes))
+                target = ion_axes(scratch, nb, state.n_max)
+                np.negative(target[:, 1], out=target[:, 1])
+                target[:, 2] = 0.0
+        value = complex(np.vdot(state.amplitudes, scratch))
         if abs(value.imag) > 1e-10:
             raise ValidationError(
                 f"stabilizer {a} expectation has imaginary residue {value.imag:.3e}"

@@ -105,10 +105,12 @@ class TestEmit:
         assert out_cluster == out_chain
 
     def test_bad_chain_size_exits_2(self, capsys):
-        code, out, err = run_cli(capsys, "emit", "--protocol", "chain:one")
-        assert code == 2
-        assert out == ""
-        assert "error" in err
+        # Only ASCII digits name a chain size: int() would take the others.
+        for tail in ["one", "", " 6", "+6", "-6", "1_0", " +1_0", "٦", "６", "6.0"]:
+            code, out, err = run_cli(capsys, "emit", "--protocol", "chain:" + tail)
+            assert code == 2, tail
+            assert out == ""
+            assert err.startswith("error: bad chain size") and err.count("\n") == 1
         code, _, _ = run_cli(capsys, "emit", "--protocol", "chain:1")
         assert code == 2
 

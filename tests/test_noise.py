@@ -67,8 +67,10 @@ class TestFidelityEstimate:
             fidelity_estimate(cluster6_sequence(), 0.0)
         with pytest.raises(ValidationError):
             fidelity_estimate(cluster6_sequence(), 1.2)
-        with pytest.raises(ValidationError):
-            fidelity_estimate(cluster6_sequence(), 0.9, pulse_count_override=-1)
+        for k in (-1, 2.5, True, "8"):
+            with pytest.raises(ValidationError, match="pulse_count_override"):
+                fidelity_estimate(cluster6_sequence(), 0.9, pulse_count_override=k)
+        assert fidelity_estimate(cluster6_sequence(), 0.9, np.int64(2)) == 0.9**2
 
 
 class TestNoiseConfig:

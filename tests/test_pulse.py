@@ -80,6 +80,9 @@ class TestSidebandMap:
             apply_sideband(state, 3, PulseKind.SIDEBAND_GE, 0.0, 1.0)
         with pytest.raises(ValidationError):
             apply_sideband(state, 1, PulseKind.CARRIER, 0.0, 1.0)
+        for phi, theta in [(0.0, math.nan), (math.inf, 1.0)]:
+            with pytest.raises(ValidationError, match="finite"):
+                apply_sideband(state, 1, PulseKind.SIDEBAND_GE, phi, theta)
 
 
 class TestCarrierMap:
@@ -117,6 +120,11 @@ class TestCarrierMap:
         state = make_random_state(rng, 2, 2)
         with pytest.raises(ValidationError):
             apply_carrier(state, 0, 1.0, 0.0)
+        with pytest.raises(ValidationError):
+            apply_carrier(state, 3, 1.0, 0.0)
+        for theta_c, phi_c in [(math.inf, 0.0), (1.0, math.nan)]:
+            with pytest.raises(ValidationError, match="finite"):
+                apply_carrier(state, 1, theta_c, phi_c)
 
 
 class TestGadgets:
@@ -152,6 +160,12 @@ class TestGadgets:
     def test_pulse_validation(self):
         with pytest.raises(ValidationError):
             Pulse(PulseKind.CARRIER, 0, 0.0, 1.0)
+        for ion in (1.5, 1.0, True, "1"):
+            with pytest.raises(ValidationError, match="integer"):
+                Pulse(PulseKind.SIDEBAND_GE, ion, 0.0, 1.0)
+        assert Pulse(PulseKind.CARRIER, np.int64(2), 0.0, 1.0).ion == 2
+        with pytest.raises(ValidationError, match="kind"):
+            Pulse("sideband_ge_typo", 1, 0.0, 1.0)
         with pytest.raises(ValidationError):
             Pulse(PulseKind.CARRIER, 1, math.nan, 1.0)
 
