@@ -14,7 +14,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import math
 import sys
 from typing import Any
 
@@ -22,7 +21,9 @@ from .errors import TruncationError, ValidationError
 from .noise import NoiseConfig, fidelity_estimate, monte_carlo
 from .protocol import PulseSequence, Snapshot, chain_sequence, cluster6_sequence, run
 from .pulse import Pulse, PulseKind
-from .register import LEVELS_BY_NAME, IonPrep, RegisterState, basis_label, require_int
+from .register import (
+    LEVELS_BY_NAME, IonPrep, RegisterState, basis_label, require_int, require_real,
+)
 from .verify import verify_run
 
 SEQUENCE_FILE_VERSION = "1"
@@ -91,18 +92,6 @@ def _name(value: Any, choices: dict[str, Any], where: str) -> Any:
     return choices[value]
 
 
-def _number(value: Any, where: str) -> float:
-    """A finite JSON number; bools and strings are refused, not coerced."""
-    if isinstance(value, (int, float)) and not isinstance(value, bool):
-        try:
-            number = float(value)
-        except OverflowError:
-            number = math.inf
-        if math.isfinite(number):
-            return number
-    raise ValidationError(f"{where} must be a finite number, got {value!r}")
-
-
 def sequence_from_document(doc: Any) -> PulseSequence:
     """Parse and validate a sequence document.
 
@@ -125,8 +114,8 @@ def sequence_from_document(doc: Any) -> PulseSequence:
             where = f"ion {i} preparation term"
             _require_keys(term, {"level", "re", "im"}, {"level", "re", "im"}, where)
             level = _name(term["level"], LEVELS_BY_NAME, f"{where} level")
-            re = _number(term["re"], f"{where} re")
-            im = _number(term["im"], f"{where} im")
+            re = require_real(term["re"], f"{where} re")
+            im = require_real(term["im"], f"{where} im")
             pairs.append((level, complex(re, im)))
         preps.append(IonPrep(pairs))
     steps = []
@@ -144,8 +133,8 @@ def sequence_from_document(doc: Any) -> PulseSequence:
             Pulse(
                 _name(entry["kind"], kinds, f"{where} kind"),
                 ion,
-                _number(entry["phi"], f"{where} phi"),
-                _number(entry["theta"], f"{where} theta"),
+                require_real(entry["phi"], f"{where} phi"),
+                require_real(entry["theta"], f"{where} theta"),
             )
         )
         labels.append(label)
@@ -213,6 +202,8 @@ def build_run_report(
     want_snapshots: bool,
     full: bool,
 ) -> dict[str, Any]:
+    # Built first, so a bad per-pulse fidelity is refused before simulating.
+    estimate = _estimate_block(seq, per_pulse_fidelity)
     final, snapshots = run(seq, n_max=n_max, record_snapshots=want_snapshots)
     report_fields = verify_run(final, seq.n_ions)
     doc: dict[str, Any] = {
@@ -234,7 +225,7 @@ def build_run_report(
                 report_fields.global_phase.imag,
             ],
         },
-        "fidelity_estimate": _estimate_block(seq, per_pulse_fidelity),
+        "fidelity_estimate": estimate,
     }
     if want_snapshots:
         doc["snapshots"] = _snapshot_entries(snapshots, full)
@@ -276,18 +267,12 @@ def _select_sequence(args: argparse.Namespace) -> tuple[PulseSequence, str]:
     if sequence_path is not None:
         return load_sequence(sequence_path), f"sequence:{sequence_path}"
     protocol = args.protocol
-    if protocol is None:
-        raise ValidationError("one of --protocol or --sequence is required")
     if protocol == "cluster6":
         return cluster6_sequence(), "cluster6"
     if protocol.startswith("chain:"):
         tail = protocol.split(":", 1)[1]
         try:
-            # ASCII digits only: int() would also take signs, spaces,
-            # underscores and other scripts' digits.
-            if not (tail.isascii() and tail.isdigit()):
-                raise ValueError(tail)
-            n = int(tail)
+            n = whole_number(tail)
         except ValueError:
             raise ValidationError(f"bad chain size {tail!r} in --protocol") from None
         return chain_sequence(n), f"chain:{n}"
@@ -308,24 +293,32 @@ def _emit(doc: dict[str, Any], out: str | None) -> None:
             fh.write(text + "\n")
 
 
-def _add_selection_args(parser: argparse.ArgumentParser, with_file: bool = True) -> None:
+def whole_number(text: str) -> int:
+    """Integer flags and ``chain:N``: ASCII digits only; int() also takes signs and _."""
+    if not (text.isascii() and text.isdigit()):
+        raise ValueError(text)
+    return int(text)
+
+
+class _Parser(argparse.ArgumentParser):
+    """Reports a usage error as a ValidationError, so it exits 2 in one line."""
+
+    def error(self, message: str):
+        raise ValidationError(message)
+
+
+def _add_selection_args(parser: argparse.ArgumentParser) -> None:
+    source = parser.add_mutually_exclusive_group(required=True)
+    source.add_argument("--protocol", help="built-in pulse program: cluster6 or chain:N")
+    source.add_argument("--sequence", help="path to a JSON sequence file")
     parser.add_argument(
-        "--protocol",
-        help="built-in pulse program: cluster6 or chain:N",
-    )
-    if with_file:
-        parser.add_argument(
-            "--sequence",
-            help="path to a JSON sequence file (instead of --protocol)",
-        )
-    parser.add_argument(
-        "--n-max", type=int, default=2, help="Fock cutoff (default 2)"
+        "--n-max", type=whole_number, default=2, help="Fock cutoff (default 2)"
     )
     parser.add_argument("--out", help="write the report here instead of stdout")
 
 
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="ionchain",
         description="Simulate sideband pulse programs on a chain of trapped ions",
     )
@@ -352,8 +345,8 @@ def build_parser() -> argparse.ArgumentParser:
         "--jitter-sigma", type=float, default=0.0,
         help="fractional pulse-area jitter standard deviation",
     )
-    p_noise.add_argument("--trials", type=int, default=100)
-    p_noise.add_argument("--seed", type=int, default=0)
+    p_noise.add_argument("--trials", type=whole_number, default=100)
+    p_noise.add_argument("--seed", type=whole_number, default=0)
 
     p_emit = sub.add_parser("emit", help="write a built-in program as a sequence file")
     p_emit.add_argument("--protocol", required=True)
@@ -383,15 +376,13 @@ def _cmd_noise(args: argparse.Namespace) -> None:
 
 
 def _cmd_emit(args: argparse.Namespace) -> None:
-    args.sequence = None
     seq, _ = _select_sequence(args)
     _emit(sequence_to_document(seq), args.out)
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
     try:
+        args = build_parser().parse_args(argv)
         if args.command == "run":
             _cmd_run(args)
         elif args.command == "noise":
@@ -402,10 +393,8 @@ def main(argv: list[str] | None = None) -> int:
         print(f"error: {err}", file=sys.stderr)
         return 2
     except TruncationError as err:
-        where = f" at step {err.step_index}" if err.step_index is not None else ""
-        if err.trial_index is not None:
-            where += f" in trial {err.trial_index}"
-        print(f"truncation{where}: {err}", file=sys.stderr)
+        # The message already names the step and, for a sweep, the trial.
+        print(f"truncation: {err}", file=sys.stderr)
         return 3
     return 0
 

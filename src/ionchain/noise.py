@@ -18,7 +18,6 @@ n_max=4), and batches of trials step through it as (trials, support) arrays.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from typing import NamedTuple
 
@@ -35,11 +34,19 @@ from .pulse import (
     rotate_pairs,
     truncation_error,
 )
-from .register import MAX_AMPLITUDES, new_register, require_int
+from .register import MAX_AMPLITUDES, new_register, require_int, require_real
 
 #: Compact amplitudes one batch of trials may hold (16 bytes per trial and
 #: reachable state): 62 trials of the six-ion program's 262 states.
 BATCH_BYTES = 1 << 18
+
+
+def _require_fidelity(value) -> float:
+    """``value`` as a float if it is a real number in (0, 1], else ValidationError."""
+    fidelity = require_real(value, "per_pulse_fidelity")
+    if not 0.0 < fidelity <= 1.0:
+        raise ValidationError(f"per_pulse_fidelity must lie in (0, 1], got {value!r}")
+    return fidelity
 
 
 @dataclass(frozen=True)
@@ -50,7 +57,7 @@ class NoiseConfig:
     per_pulse_fidelity feeds the multiplicative estimate.  trials is capped
     at MAX_AMPLITUDES, the same budget as one register, since every trial
     keeps a sample; seed is a non-negative integer, as numpy's generator
-    requires.
+    requires.  Each knob is stored as a Python float or int.
     """
 
     per_pulse_fidelity: float = 0.93
@@ -59,20 +66,17 @@ class NoiseConfig:
     seed: int = 0
 
     def __post_init__(self):
-        if not 0.0 < self.per_pulse_fidelity <= 1.0:
-            raise ValidationError(
-                f"per_pulse_fidelity must lie in (0, 1], got {self.per_pulse_fidelity}"
-            )
-        if not math.isfinite(self.jitter_sigma):
-            raise ValidationError(
-                f"jitter_sigma must be finite, got {self.jitter_sigma}"
-            )
-        if self.jitter_sigma < 0.0:
-            raise ValidationError(
-                f"jitter_sigma must be >= 0, got {self.jitter_sigma}"
-            )
-        require_int(self.trials, "trials", 1, MAX_AMPLITUDES)
-        require_int(self.seed, "seed", 0)
+        sigma = require_real(self.jitter_sigma, "jitter_sigma")
+        if sigma < 0.0:
+            raise ValidationError(f"jitter_sigma must be >= 0, got {sigma!r}")
+        checked = {
+            "per_pulse_fidelity": _require_fidelity(self.per_pulse_fidelity),
+            "jitter_sigma": sigma,
+            "trials": require_int(self.trials, "trials", 1, MAX_AMPLITUDES),
+            "seed": require_int(self.seed, "seed", 0),
+        }
+        for name, value in checked.items():
+            object.__setattr__(self, name, value)
 
 
 @dataclass(frozen=True)
@@ -90,10 +94,7 @@ def fidelity_estimate(
     pulse_count_override: int | None = None,
 ) -> float:
     """F**k with k the sequence's sideband-pulse count (or the override)."""
-    if not 0.0 < per_pulse_fidelity <= 1.0:
-        raise ValidationError(
-            f"per_pulse_fidelity must lie in (0, 1], got {per_pulse_fidelity}"
-        )
+    per_pulse_fidelity = _require_fidelity(per_pulse_fidelity)
     if pulse_count_override is not None:
         k = require_int(pulse_count_override, "pulse_count_override", 0)
     else:

@@ -31,6 +31,7 @@ from .register import (
     RegisterState,
     check_register_size,
     new_register,
+    require_int,
 )
 
 _INV_SQRT2 = 1.0 / sqrt(2.0)
@@ -38,7 +39,7 @@ _INV_SQRT2 = 1.0 / sqrt(2.0)
 
 @dataclass(frozen=True)
 class PulseSequence:
-    """Ordered pulses plus the initial preparation of every ion."""
+    """Ordered pulses plus each ion's preparation (as many ions as fit at n_max=1)."""
 
     preps: tuple[IonPrep, ...]
     steps: tuple[Pulse, ...]
@@ -55,14 +56,9 @@ class PulseSequence:
                 f"{len(labels)} labels for {len(self.steps)} steps"
             )
         object.__setattr__(self, "labels", labels)
-        if not self.preps:
-            raise ValidationError("a sequence needs at least one ion preparation")
+        check_register_size(len(self.preps), 1)
         for i, step in enumerate(self.steps, start=1):
-            if step.ion > len(self.preps):
-                raise ValidationError(
-                    f"step {i} addresses ion {step.ion} but only "
-                    f"{len(self.preps)} ions are prepared"
-                )
+            require_int(step.ion, f"step {i} ion", 1, len(self.preps))
 
     @property
     def n_ions(self) -> int:
@@ -110,8 +106,7 @@ def chain_sequence(n_ions: int) -> PulseSequence:
     phase from ion 1 itself.  A chain too long to simulate even at
     n_max=1 is refused before any preparation is built.
     """
-    if n_ions < 2:
-        raise ValidationError(f"chain needs at least 2 ions, got {n_ions}")
+    n_ions = require_int(n_ions, "chain length", 2)
     check_register_size(n_ions, 1)
 
     preps: list[IonPrep] = [_excited(), _ground()]

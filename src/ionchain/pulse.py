@@ -39,7 +39,7 @@ from enum import Enum
 import numpy as np
 
 from .errors import TruncationError, ValidationError
-from .register import IonLevel, RegisterState, ion_axes, require_int
+from .register import IonLevel, RegisterState, ion_axes, require_int, require_real
 
 #: A sideband pulse aborts when the top coupled component carries more
 #: probability than this.
@@ -64,7 +64,7 @@ EXCITED_LEVEL = {
 
 @dataclass(frozen=True)
 class Pulse:
-    """One laser event: kind, 1-based target ion, phase phi, area theta."""
+    """One laser event: kind, 1-based ion (int), phase phi and area theta (floats)."""
 
     kind: PulseKind
     ion: int
@@ -74,11 +74,9 @@ class Pulse:
     def __post_init__(self):
         if self.kind not in tuple(PulseKind):
             raise ValidationError(f"unknown pulse kind {self.kind!r}")
-        require_int(self.ion, "ion index", 1)
-        if not (math.isfinite(self.phi) and math.isfinite(self.theta)):
-            raise ValidationError(
-                f"pulse parameters must be finite, got phi={self.phi}, theta={self.theta}"
-            )
+        object.__setattr__(self, "ion", require_int(self.ion, "ion index", 1))
+        object.__setattr__(self, "phi", require_real(self.phi, "pulse parameters"))
+        object.__setattr__(self, "theta", require_real(self.theta, "pulse parameters"))
 
     def inverse(self) -> "Pulse":
         """Same pulse run backwards (theta negated)."""
@@ -141,8 +139,7 @@ def apply_pulse(state: RegisterState, pulse: Pulse) -> RegisterState:
     A sideband pulse raises TruncationError instead of running when the
     state carries more than 1e-12 probability on |x, n_max>.
     """
-    if pulse.ion > state.n_ions:
-        raise ValidationError(f"ion {pulse.ion} outside 1..{state.n_ions}")
+    require_int(pulse.ion, "ion", 1, state.n_ions)
     a, b, top = coupled_pairs(state.amplitudes, pulse, state.n_max)
     leak = float(np.sum(np.abs(top) ** 2))
     if leak > TRUNCATION_ATOL:

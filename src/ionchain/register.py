@@ -20,6 +20,7 @@ from __future__ import annotations
 
 import math
 import numbers
+import reprlib
 from dataclasses import dataclass, field
 from enum import IntEnum
 from typing import Iterable, Sequence
@@ -27,9 +28,6 @@ from typing import Iterable, Sequence
 import numpy as np
 
 from .errors import ValidationError
-
-#: Tolerance on the squared norm of any constructed or evolved state.
-NORM_ATOL = 1e-12
 
 #: Preparations may deviate from unit norm by at most this much before
 #: being rejected (they are renormalized to machine precision on accept).
@@ -55,21 +53,20 @@ LEVELS_BY_NAME = {name: level for level, name in LEVEL_NAMES.items()}
 class IonPrep:
     """Initial pure state of one ion, given as (level, coefficient) pairs.
 
-    Coefficients must be finite and normalized within ``PREP_NORM_ATOL``;
-    accepted preparations are renormalized exactly.
+    Levels are integers 0..2 and coefficients finite numbers, normalized
+    within ``PREP_NORM_ATOL``; accepted preparations are renormalized exactly.
     """
 
     __slots__ = ("coefficients",)
 
     def __init__(self, pairs: Iterable[tuple[IonLevel, complex]]):
         coeffs = np.zeros(3, dtype=np.complex128)
+        what = "each part of an ion preparation coefficient"
         for level, value in pairs:
-            value = complex(value)
-            if not (math.isfinite(value.real) and math.isfinite(value.imag)):
-                raise ValidationError(
-                    f"ion preparation coefficients must be finite, got {value!r}"
-                )
-            coeffs[IonLevel(level)] += value
+            is_complex = isinstance(value, (complex, np.complexfloating))
+            re, im = (value.real, value.imag) if is_complex else (value, 0.0)
+            level = require_int(level, "ion preparation level", 0, 2)
+            coeffs[level] += complex(require_real(re, what), require_real(im, what))
         norm = float(np.linalg.norm(coeffs))
         if abs(norm - 1.0) > PREP_NORM_ATOL:
             raise ValidationError(
@@ -114,10 +111,7 @@ class RegisterState:
     amplitudes: np.ndarray = field(repr=False)
 
     def __post_init__(self):
-        if self.n_ions < 1:
-            raise ValidationError(f"n_ions must be >= 1, got {self.n_ions}")
-        if self.n_max < 1:
-            raise ValidationError(f"n_max must be >= 1, got {self.n_max}")
+        check_register_size(self.n_ions, self.n_max)
         amps = np.asarray(self.amplitudes, dtype=np.complex128)
         if amps.shape != (self.dim,):
             raise ValidationError(
@@ -154,18 +148,16 @@ def basis_index(state: RegisterState, levels: Sequence[IonLevel], n: int) -> int
         raise ValidationError(
             f"expected {state.n_ions} levels, got {len(levels)}"
         )
-    if not 0 <= n <= state.n_max:
-        raise ValidationError(f"phonon number {n} outside 0..{state.n_max}")
+    n = require_int(n, "phonon number", 0, state.n_max)
     digits = 0
     for level in levels:
-        digits = digits * 3 + int(IonLevel(level))
+        digits = digits * 3 + require_int(level, "level", 0, 2)
     return digits * (state.n_max + 1) + n
 
 
 def basis_label(state: RegisterState, index: int) -> str:
     """Human-readable label like ``"g e g;1"`` for a flat amplitude index."""
-    if not 0 <= index < state.dim:
-        raise ValidationError(f"index {index} outside 0..{state.dim - 1}")
+    index = require_int(index, "index", 0, state.dim - 1)
     digits, n = divmod(index, state.n_max + 1)
     names = []
     for _ in range(state.n_ions):
@@ -174,14 +166,37 @@ def basis_label(state: RegisterState, index: int) -> str:
     return " ".join(reversed(names)) + f";{n}"
 
 
-def require_int(value, what: str, low: int, high: int | None = None):
-    """``value`` if it is an integer in low..high (never a bool), else ValidationError."""
+def require_int(value, what: str, low: int, high: int | None = None) -> int:
+    """``value`` as an int: an integer in low..high, never a bool, or ValidationError."""
     if not isinstance(value, numbers.Integral) or isinstance(value, bool) or not (
         low <= value and (high is None or value <= high)
     ):
         bounds = f">= {low}" if high is None else f"in {low}..{high}"
-        raise ValidationError(f"{what} must be an integer {bounds}, got {value!r}")
-    return value
+        raise ValidationError(f"{what} must be an integer {bounds}, got {_shown(value)}")
+    return int(value)
+
+
+def require_real(value, what: str) -> float:
+    """``value`` as a float if a finite real number, never a bool; else ValidationError.
+
+    An int too large for a float is refused, not left to raise OverflowError.
+    """
+    if isinstance(value, numbers.Real) and not isinstance(value, bool):
+        try:
+            number = float(value)
+        except OverflowError:
+            number = math.inf
+        if math.isfinite(number):
+            return number
+    raise ValidationError(f"{what} must be finite and real, got {_shown(value)}")
+
+
+def _shown(value) -> str:
+    """Short repr of ``value`` for a one-line error, also for an enormous int."""
+    try:
+        return reprlib.repr(value)
+    except ValueError:  # an int past Python's limit on digits in a string
+        return f"an integer of {value.bit_length()} bits"
 
 
 def ion_axes(block: np.ndarray, ion: int, n_max: int) -> np.ndarray:
@@ -193,12 +208,14 @@ def ion_axes(block: np.ndarray, ion: int, n_max: int) -> np.ndarray:
 
 
 def check_register_size(n_ions: int, n_max: int) -> None:
-    """Refuse, before anything is allocated, a register over MAX_AMPLITUDES.
+    """The one shape gate, run before allocating: integers >= 1, MAX_AMPLITUDES cap.
 
     The dimension is 3**n_ions * (n_max + 1).  Since 3**n >= 2**n, any
     n_ions of at least MAX_AMPLITUDES.bit_length() is over the cap at every
     n_max, so 3**n_ions is never formed for an absurd n_ions.
     """
+    n_ions = require_int(n_ions, "n_ions", 1)
+    n_max = require_int(n_max, "n_max", 1)
     if (
         n_ions >= MAX_AMPLITUDES.bit_length()
         or 3**n_ions * (n_max + 1) > MAX_AMPLITUDES
@@ -219,10 +236,6 @@ def new_register(preps: Sequence[IonPrep], n_max: int) -> RegisterState:
     n_max : int
         Fock cutoff; the mode keeps levels 0..n_max.
     """
-    if not preps:
-        raise ValidationError("at least one ion preparation is required")
-    if n_max < 1:
-        raise ValidationError(f"n_max must be >= 1, got {n_max}")
     check_register_size(len(preps), n_max)
     amps = np.ones(1, dtype=np.complex128)
     for prep in preps:
@@ -250,17 +263,15 @@ def inner_product(a: RegisterState, b: RegisterState) -> complex:
 
 def population(state: RegisterState, ion: int, level: IonLevel) -> float:
     """Total probability of finding the 1-based ``ion`` in ``level``."""
-    if not 1 <= ion <= state.n_ions:
-        raise ValidationError(f"ion {ion} outside 1..{state.n_ions}")
+    ion = require_int(ion, "ion", 1, state.n_ions)
     shaped = state.shaped()
-    sub = np.take(shaped, int(IonLevel(level)), axis=ion - 1)
+    sub = np.take(shaped, require_int(level, "level", 0, 2), axis=ion - 1)
     return float(np.sum(np.abs(sub) ** 2))
 
 
 def mode_population(state: RegisterState, n: int) -> float:
     """Total probability of exactly ``n`` phonons in the shared mode."""
-    if not 0 <= n <= state.n_max:
-        raise ValidationError(f"phonon number {n} outside 0..{state.n_max}")
+    n = require_int(n, "phonon number", 0, state.n_max)
     shaped = state.shaped()
     sub = np.take(shaped, n, axis=state.n_ions)
     return float(np.sum(np.abs(sub) ** 2))

@@ -47,10 +47,6 @@ class VerificationReport:
 
 def reference_cluster(n_qubits: int, n_max: int = 2) -> RegisterState:
     """The N-qubit linear cluster state with the mode in the vacuum."""
-    if n_qubits < 1:
-        raise ValidationError(f"n_qubits must be >= 1, got {n_qubits}")
-    if n_max < 1:
-        raise ValidationError(f"n_max must be >= 1, got {n_max}")
     check_register_size(n_qubits, n_max)
     scale = 2.0 ** (-n_qubits / 2.0)
     # Row k of ``levels`` is the basis label k, 0 -> |g>, 1 -> |e>, ion 1 first.

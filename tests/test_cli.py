@@ -9,7 +9,7 @@ import sys
 import pytest
 
 import ionchain
-from ionchain import cluster6_sequence, chain_sequence, register
+from ionchain import cli, cluster6_sequence, chain_sequence, register
 from ionchain.cli import (
     _emit,
     main,
@@ -67,6 +67,20 @@ WRONGLY_TYPED = {
         '"ion": 1,', '"ion": ' + "9" * 5000 + ",", 1
     ),
     "not-utf8": "\udcff",
+}
+
+# Command lines argparse refuses: each used to print a usage block or a
+# "prog: error:" line of argparse's own instead of the one-line error.
+BAD_FLAGS = {
+    "n-max-not-a-number": ["run", "--protocol", "cluster6", "--n-max", "x"],
+    "trials-float": ["noise", "--protocol", "cluster6", "--trials", "1.5"],
+    "fidelity-not-a-number": ["run", "--protocol", "cluster6", "--per-pulse-fidelity", "x"],
+    "unknown-flag": ["run", "--protocol", "cluster6", "--bogus"],
+    "missing-value": ["run", "--protocol"],
+    "protocol-and-sequence": ["run", "--protocol", "cluster6", "--sequence", "SEQ"],
+    "emit-without-protocol": ["emit"],
+    "unknown-command": ["simulate"],
+    "no-command": [],
 }
 
 
@@ -327,6 +341,21 @@ class TestRun:
             assert err.startswith("error: ") and "over the limit" in err
             assert err.count("\n") == 1
 
+    @pytest.mark.parametrize("value", ["nan", "0", "1.5"])
+    def test_bad_per_pulse_fidelity_exits_before_simulating(
+        self, capsys, monkeypatch, value
+    ):
+        def no_run(*args, **kwargs):
+            raise AssertionError("simulated before checking --per-pulse-fidelity")
+
+        monkeypatch.setattr(cli, "run", no_run)
+        code, out, err = run_cli(
+            capsys, "run", "--protocol", "chain:12", "--per-pulse-fidelity", value
+        )
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error: per_pulse_fidelity") and err.count("\n") == 1
+
     def test_reports_are_strict_json(self, tmp_path):
         from ionchain import ValidationError
 
@@ -379,7 +408,14 @@ class TestNoise:
         )
         assert code == 2
 
-    @pytest.mark.parametrize("argv", [("--seed", "-1"), ("--trials", str(10**12))])
+    @pytest.mark.parametrize("argv", [
+        ("--seed", "-1"),
+        ("--trials", str(10**12)),
+        # int() would read these as n_max 10, 3 trials and seed 1.
+        ("--n-max", "1_0"),
+        ("--trials", " \u0663"),
+        ("--seed", "+1"),
+    ])
     def test_bad_seed_or_trials_exits_2(self, capsys, argv):
         code, out, err = run_cli(
             capsys, "noise", "--protocol", "cluster6", "--trials", "2", *argv,
@@ -387,6 +423,17 @@ class TestNoise:
         assert code == 2
         assert out == ""
         assert argv[0][2:] in err and err.count("\n") == 1
+
+    def test_truncation_names_step_and_trial_once(self, capsys):
+        code, out, err = run_cli(
+            capsys, "noise", "--protocol", "chain:10", "--jitter-sigma", "0.02",
+            "--trials", "5", "--n-max", "4",
+        )
+        assert code == 3
+        assert out == ""
+        assert err.startswith("truncation: ") and err.count("\n") == 1
+        assert err.count("trial 0") == 1
+        assert err.count("step 17") == 1
 
     @pytest.mark.parametrize("sigma", ["nan", "inf"])
     def test_non_finite_sigma_exits_2(self, capsys, sigma):
@@ -406,6 +453,18 @@ class TestNoise:
         assert out == ""
         assert err.count("\n") == 1
         assert "pulse parameters must be finite" in err
+
+
+class TestArguments:
+    @pytest.mark.parametrize("argv", BAD_FLAGS.values(), ids=BAD_FLAGS.keys())
+    def test_bad_flags_exit_2_in_one_line(self, capsys, tmp_path, argv):
+        # SEQ names a valid file: with both sources given, one used to win silently.
+        path = tmp_path / "seq.json"
+        path.write_text(_CHAIN2_TEXT)
+        code, out, err = run_cli(capsys, *[str(path) if a == "SEQ" else a for a in argv])
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error: ") and err.count("\n") == 1
 
 
 class TestProcess:

@@ -124,29 +124,36 @@ protocol = mostly(
 )
 
 
+# Integer spellings argparse must refuse: int() alone would read most of them.
+UNPARSEABLE_INTS = ("x", "", "1.5", "1_0", " 3", "+2", "\u0663", "2e0")
+# Flags no subcommand has, and flags left without their value.
+UNKNOWN_FLAGS = texts("--bogus", "-x", "--n-max", "--trials", "--protocol", "--full=1")
+
+
 def command_options(command: str):
-    """argv options argparse accepts for ``command``; the values may be bad."""
+    """argv options for ``command``: mostly well formed, sometimes unparseable."""
+    unknown = mostly(st.just([]), st.lists(UNKNOWN_FLAGS, min_size=1, max_size=2))
     if command == "emit":
-        return st.just([])
-    options = [mostly(texts("2", "3", "4"), texts("-1", "0", "1", "5")).map(
-        lambda n: "--n-max=" + n
-    )]
+        return unknown
+    bad_n_max = texts("-1", "0", "1", "5", *UNPARSEABLE_INTS)
+    options = [mostly(texts("2", "3", "4"), bad_n_max).map(lambda n: "--n-max=" + n)]
     if command == "run":
-        options.append(mostly(texts("0.93", "1"), texts("0", "1.5", "nan")).map(
+        options.append(mostly(texts("0.93", "1"), texts("0", "1.5", "nan", "x", "")).map(
             lambda f: "--per-pulse-fidelity=" + f
         ))
         options.append(texts("--snapshots", "--full", "--out=-"))
     else:
-        options.append(mostly(texts("1", "3"), texts("0", "-1")).map(
+        options.append(mostly(texts("1", "3"), texts("0", "-1", *UNPARSEABLE_INTS)).map(
             lambda t: "--trials=" + t
         ))
-        options.append(mostly(texts("0", "7"), texts("-1")).map(
+        options.append(mostly(texts("0", "7"), texts("-1", *UNPARSEABLE_INTS)).map(
             lambda s: "--seed=" + s
         ))
         options.append(mostly(texts("0", "0.01", "0.02"), texts(
-            "nan", "inf", "1e308", "0.3", "-0.1"
+            "nan", "inf", "1e308", "0.3", "-0.1", "x"
         )).map(lambda s: "--jitter-sigma=" + s))
-    return st.lists(st.one_of(*options), max_size=len(options) + 1)
+    listed = st.lists(st.one_of(*options), max_size=len(options) + 1)
+    return st.tuples(listed, unknown).map(lambda pair: pair[0] + pair[1])
 
 
 @st.composite
