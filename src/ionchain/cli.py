@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 from typing import Any
 
@@ -22,7 +23,8 @@ from .noise import NoiseConfig, fidelity_estimate, monte_carlo
 from .protocol import PulseSequence, Snapshot, chain_sequence, cluster6_sequence, run
 from .pulse import Pulse, PulseKind
 from .register import (
-    LEVELS_BY_NAME, IonPrep, RegisterState, basis_label, require_int, require_real,
+    LEVEL_NAMES, LEVELS_BY_NAME, IonPrep, RegisterState, basis_label, require_int,
+    require_real,
 )
 from .verify import verify_run
 
@@ -48,7 +50,7 @@ def sequence_to_document(seq: PulseSequence) -> dict[str, Any]:
             if coeff != 0:
                 terms.append(
                     {
-                        "level": ("g", "e", "eprime")[level_value],
+                        "level": LEVEL_NAMES[level_value],
                         "re": float(coeff.real),
                         "im": float(coeff.imag),
                     }
@@ -281,6 +283,21 @@ def _select_sequence(args: argparse.Namespace) -> tuple[PulseSequence, str]:
     )
 
 
+def _check_out(out: str | None) -> None:
+    """Refuse, before any work, an ``--out`` that names no file or lacks its directory.
+
+    The file itself is opened only once the report is built, so a run that
+    fails leaves an existing file untouched.
+    """
+    if out is None or out == "-":
+        return
+    if os.path.isdir(out) or not os.path.basename(out):
+        raise ValidationError(f"--out {out!r} does not name a file")
+    parent = os.path.dirname(out) or "."
+    if not os.path.isdir(parent):
+        raise ValidationError(f"--out {out!r}: no directory {parent!r}")
+
+
 def _emit(doc: dict[str, Any], out: str | None) -> None:
     try:
         text = json.dumps(doc, indent=2, allow_nan=False)
@@ -288,9 +305,12 @@ def _emit(doc: dict[str, Any], out: str | None) -> None:
         raise ValidationError(f"report is not strict JSON: {err}") from err
     if out is None or out == "-":
         sys.stdout.write(text + "\n")
-    else:
+        return
+    try:
         with open(out, "w", encoding="utf-8") as fh:
             fh.write(text + "\n")
+    except OSError as err:
+        raise ValidationError(f"cannot write --out {out!r}: {err}") from err
 
 
 def whole_number(text: str) -> int:
@@ -298,6 +318,16 @@ def whole_number(text: str) -> int:
     if not (text.isascii() and text.isdigit()):
         raise ValueError(text)
     return int(text)
+
+
+def real_number(text: str) -> float:
+    """Float flags: ASCII, no ``_``, no surrounding space; float() takes all three.
+
+    ``nan`` and ``inf`` pass here and are refused, by name, where the value is used.
+    """
+    if not text.isascii() or "_" in text or text != text.strip():
+        raise ValueError(text)
+    return float(text)
 
 
 class _Parser(argparse.ArgumentParser):
@@ -327,7 +357,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_run = sub.add_parser("run", help="simulate a pulse program and verify the result")
     _add_selection_args(p_run)
     p_run.add_argument(
-        "--per-pulse-fidelity", type=float, default=0.93,
+        "--per-pulse-fidelity", type=real_number, default=0.93,
         help="per sideband pulse fidelity for the multiplicative estimate",
     )
     p_run.add_argument(
@@ -340,9 +370,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_noise = sub.add_parser("noise", help="Monte Carlo pulse-area jitter sweep")
     _add_selection_args(p_noise)
-    p_noise.add_argument("--per-pulse-fidelity", type=float, default=0.93)
+    p_noise.add_argument("--per-pulse-fidelity", type=real_number, default=0.93)
     p_noise.add_argument(
-        "--jitter-sigma", type=float, default=0.0,
+        "--jitter-sigma", type=real_number, default=0.0,
         help="fractional pulse-area jitter standard deviation",
     )
     p_noise.add_argument("--trials", type=whole_number, default=100)
@@ -383,6 +413,7 @@ def _cmd_emit(args: argparse.Namespace) -> None:
 def main(argv: list[str] | None = None) -> int:
     try:
         args = build_parser().parse_args(argv)
+        _check_out(args.out)
         if args.command == "run":
             _cmd_run(args)
         elif args.command == "noise":

@@ -148,6 +148,7 @@ def apply_pulse(state: RegisterState, pulse: Pulse) -> RegisterState:
     out = state.amplitudes.copy()
     out_a, out_b, _ = coupled_pairs(out, pulse, state.n_max)
     rotate_pairs(a, b, c, s, pulse.phi, out_a, out_b)
+    out.setflags(write=False)
     return RegisterState(state.n_ions, state.n_max, out)
 
 

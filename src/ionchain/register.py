@@ -11,9 +11,9 @@ phonon number is the least significant index.  Written kets such as
 ``|e g g;1>`` therefore read left to right exactly like the amplitude
 index decomposition.
 
-``ion_axes`` is the one place that turns this layout into array axes for
-one ion: every pulse, the Monte Carlo compile and the stabilizer checks
-read and write amplitudes through that view.
+``basis_shape`` writes this layout once and ``ion_axes`` views it per ion:
+every pulse, the Monte Carlo compile and the stabilizer checks read and
+write amplitudes through that view.
 """
 
 from __future__ import annotations
@@ -102,8 +102,8 @@ class IonPrep:
 class RegisterState:
     """Immutable normalized state of ``n_ions`` ions plus the shared mode.
 
-    ``amplitudes`` has length ``3**n_ions * (n_max + 1)`` and is read-only;
-    every operation returns a fresh state.
+    ``amplitudes`` is the flat ``basis_shape`` vector, read-only: an array that
+    is read-only and owns its memory is adopted, any other is copied.
     """
 
     n_ions: int
@@ -117,20 +117,21 @@ class RegisterState:
             raise ValidationError(
                 f"amplitude vector has shape {amps.shape}, expected ({self.dim},)"
             )
-        amps = amps.copy()
-        amps.setflags(write=False)
+        if amps.flags.writeable or amps.base is not None:
+            amps = amps.copy()
+            amps.setflags(write=False)
         object.__setattr__(self, "amplitudes", amps)
 
     @property
     def dim(self) -> int:
-        return 3**self.n_ions * (self.n_max + 1)
+        return math.prod(basis_shape(self.n_ions, self.n_max))
 
     def norm(self) -> float:
         return float(np.linalg.norm(self.amplitudes))
 
     def shaped(self) -> np.ndarray:
         """View with one axis per ion (size 3) plus the mode axis (last)."""
-        return self.amplitudes.reshape([3] * self.n_ions + [self.n_max + 1])
+        return self.amplitudes.reshape(basis_shape(self.n_ions, self.n_max))
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, RegisterState):
@@ -149,21 +150,16 @@ def basis_index(state: RegisterState, levels: Sequence[IonLevel], n: int) -> int
             f"expected {state.n_ions} levels, got {len(levels)}"
         )
     n = require_int(n, "phonon number", 0, state.n_max)
-    digits = 0
-    for level in levels:
-        digits = digits * 3 + require_int(level, "level", 0, 2)
-    return digits * (state.n_max + 1) + n
+    digits = [require_int(level, "level", 0, 2) for level in levels]
+    return int(np.ravel_multi_index((*digits, n), basis_shape(state.n_ions, state.n_max)))
 
 
 def basis_label(state: RegisterState, index: int) -> str:
     """Human-readable label like ``"g e g;1"`` for a flat amplitude index."""
     index = require_int(index, "index", 0, state.dim - 1)
-    digits, n = divmod(index, state.n_max + 1)
-    names = []
-    for _ in range(state.n_ions):
-        digits, d = divmod(digits, 3)
-        names.append(LEVEL_NAMES[IonLevel(d)])
-    return " ".join(reversed(names)) + f";{n}"
+    shape = basis_shape(state.n_ions, state.n_max)
+    *digits, n = map(int, np.unravel_index(index, shape))
+    return " ".join(LEVEL_NAMES[d] for d in digits) + f";{n}"
 
 
 def require_int(value, what: str, low: int, high: int | None = None) -> int:
@@ -199,6 +195,11 @@ def _shown(value) -> str:
         return f"an integer of {value.bit_length()} bits"
 
 
+def basis_shape(n_ions: int, n_max: int) -> tuple[int, ...]:
+    """Axes of the dense basis: a level axis per ion, ion 1 first, then the mode."""
+    return (3,) * n_ions + (n_max + 1,)
+
+
 def ion_axes(block: np.ndarray, ion: int, n_max: int) -> np.ndarray:
     """View of flat basis-ordered ``block``: (earlier ions, ``ion``, later ions, mode).
 
@@ -210,7 +211,7 @@ def ion_axes(block: np.ndarray, ion: int, n_max: int) -> np.ndarray:
 def check_register_size(n_ions: int, n_max: int) -> None:
     """The one shape gate, run before allocating: integers >= 1, MAX_AMPLITUDES cap.
 
-    The dimension is 3**n_ions * (n_max + 1).  Since 3**n >= 2**n, any
+    The dimension is the product of ``basis_shape``.  Since 3**n >= 2**n, any
     n_ions of at least MAX_AMPLITUDES.bit_length() is over the cap at every
     n_max, so 3**n_ions is never formed for an absurd n_ions.
     """
@@ -218,7 +219,7 @@ def check_register_size(n_ions: int, n_max: int) -> None:
     n_max = require_int(n_max, "n_max", 1)
     if (
         n_ions >= MAX_AMPLITUDES.bit_length()
-        or 3**n_ions * (n_max + 1) > MAX_AMPLITUDES
+        or math.prod(basis_shape(n_ions, n_max)) > MAX_AMPLITUDES
     ):
         raise ValidationError(
             f"{n_ions} ions at n_max={n_max} need 3^{n_ions}*{n_max + 1} "
@@ -244,6 +245,7 @@ def new_register(preps: Sequence[IonPrep], n_max: int) -> RegisterState:
     mode[0] = 1.0
     amps = np.kron(amps, mode)
     amps /= np.linalg.norm(amps)
+    amps.setflags(write=False)
     return RegisterState(n_ions=len(preps), n_max=n_max, amplitudes=amps)
 
 
@@ -264,17 +266,14 @@ def inner_product(a: RegisterState, b: RegisterState) -> complex:
 def population(state: RegisterState, ion: int, level: IonLevel) -> float:
     """Total probability of finding the 1-based ``ion`` in ``level``."""
     ion = require_int(ion, "ion", 1, state.n_ions)
-    shaped = state.shaped()
-    sub = np.take(shaped, require_int(level, "level", 0, 2), axis=ion - 1)
-    return float(np.sum(np.abs(sub) ** 2))
+    rows = ion_axes(state.amplitudes, ion, state.n_max)
+    return float(np.sum(np.abs(rows[:, require_int(level, "level", 0, 2)]) ** 2))
 
 
 def mode_population(state: RegisterState, n: int) -> float:
     """Total probability of exactly ``n`` phonons in the shared mode."""
     n = require_int(n, "phonon number", 0, state.n_max)
-    shaped = state.shaped()
-    sub = np.take(shaped, n, axis=state.n_ions)
-    return float(np.sum(np.abs(sub) ** 2))
+    return float(np.sum(np.abs(state.amplitudes[n :: state.n_max + 1]) ** 2))
 
 
 def global_phase_alignment(reference: RegisterState, state: RegisterState) -> complex:

@@ -22,6 +22,7 @@ from .errors import ValidationError
 from .register import (
     IonLevel,
     RegisterState,
+    basis_shape,
     check_register_size,
     global_phase_alignment,
     inner_product,
@@ -52,10 +53,9 @@ def reference_cluster(n_qubits: int, n_max: int = 2) -> RegisterState:
     # Row k of ``levels`` is the basis label k, 0 -> |g>, 1 -> |e>, ion 1 first.
     levels = (np.arange(2**n_qubits)[:, None] >> np.arange(n_qubits - 1, -1, -1)) & 1
     flips = np.sum((levels[:, :-1] == 0) & (levels[:, 1:] == 1), axis=1)
-    digits = levels @ 3 ** np.arange(n_qubits - 1, -1, -1)
-    amps = np.zeros(3**n_qubits * (n_max + 1), dtype=np.complex128)
-    amps[digits * (n_max + 1)] = np.where(flips % 2 == 1, -scale, scale)
-    return RegisterState(n_qubits, n_max, amps)
+    amps = np.zeros(basis_shape(n_qubits, n_max), dtype=np.complex128)
+    amps[(*levels.T, 0)] = np.where(flips % 2 == 1, -scale, scale)
+    return RegisterState(n_qubits, n_max, amps.ravel())
 
 
 def fidelity(state: RegisterState, ref: RegisterState) -> float:
@@ -117,8 +117,7 @@ def reference_signature(n_qubits: int) -> list[int]:
 
 def eprime_leakage(state: RegisterState) -> float:
     """Probability that at least one ion sits in e'."""
-    shaped = state.shaped()
-    qubit_block = shaped[np.ix_(*([[0, 1]] * state.n_ions))]
+    qubit_block = state.shaped()[(slice(2),) * state.n_ions]
     return float(max(0.0, 1.0 - np.sum(np.abs(qubit_block) ** 2)))
 
 

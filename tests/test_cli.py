@@ -81,6 +81,12 @@ BAD_FLAGS = {
     "emit-without-protocol": ["emit"],
     "unknown-command": ["simulate"],
     "no-command": [],
+    # float() alone reads these as 0.1, 0.9 and 0.01.
+    "sigma-underscore": ["noise", "--protocol", "cluster6", "--jitter-sigma", "1_0e-2"],
+    "fidelity-arabic-indic-digits": [
+        "run", "--protocol", "cluster6", "--per-pulse-fidelity", "\u0660.\u0669",
+    ],
+    "sigma-spaces": ["noise", "--protocol", "cluster6", "--jitter-sigma", " 0.01 "],
 }
 
 
@@ -465,6 +471,65 @@ class TestArguments:
         assert code == 2
         assert out == ""
         assert err.startswith("error: ") and err.count("\n") == 1
+
+
+class TestOut:
+    """``--out`` is refused before simulating and written only after the report."""
+
+    @pytest.fixture
+    def no_run(self, monkeypatch):
+        def fail(*args, **kwargs):
+            raise AssertionError("simulated despite a bad --out")
+
+        monkeypatch.setattr(cli, "run", fail)
+        monkeypatch.setattr(cli, "monte_carlo", fail)
+
+    @pytest.mark.parametrize("command", [
+        ["emit", "--protocol", "cluster6"],
+        ["run", "--protocol", "chain:10"],
+        ["noise", "--protocol", "cluster6", "--trials", "2"],
+    ])
+    def test_missing_directory_exits_2(self, capsys, tmp_path, no_run, command):
+        out_path = tmp_path / "missing" / "x.json"
+        code, out, err = run_cli(capsys, *command, "--out", str(out_path))
+        assert (code, out) == (2, "")
+        assert err.startswith("error: --out ") and err.count("\n") == 1
+        assert not out_path.parent.exists()
+
+    @pytest.mark.parametrize("command", [
+        ["emit", "--protocol", "cluster6"],
+        ["run", "--protocol", "chain:10"],
+    ])
+    @pytest.mark.parametrize("name", ["", "dir", "dir/", "missing/"])
+    def test_directory_or_empty_name_exits_2(self, capsys, tmp_path, no_run, command, name):
+        (tmp_path / "dir").mkdir()
+        path = f"{tmp_path}/{name}" if name else ""
+        code, out, err = run_cli(capsys, *command, "--out", path)
+        assert (code, out) == (2, "")
+        assert err == f"error: --out {path!r} does not name a file\n"
+
+    def test_write_error_exits_2(self, capsys, tmp_path, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise PermissionError(13, "Permission denied")
+
+        monkeypatch.setattr("builtins.open", refuse)
+        code, out, err = run_cli(
+            capsys, "emit", "--protocol", "chain:2", "--out", str(tmp_path / "x.json"),
+        )
+        assert (code, out) == (2, "")
+        assert err.startswith("error: cannot write --out ") and err.count("\n") == 1
+
+    @pytest.mark.parametrize("argv, expected", [
+        (["run", "--protocol", "chain:4", "--per-pulse-fidelity", "1.5"], 2),
+        (["noise", "--protocol", "cluster6", "--jitter-sigma", "0.2",
+          "--trials", "3"], 3),
+    ])
+    def test_failing_run_leaves_existing_file(self, capsys, tmp_path, argv, expected):
+        path = tmp_path / "report.json"
+        path.write_text("earlier report\n")
+        code, out, _ = run_cli(capsys, *argv, "--out", str(path))
+        assert (code, out) == (expected, "")
+        assert path.read_text() == "earlier report\n"
 
 
 class TestProcess:

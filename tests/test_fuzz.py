@@ -126,6 +126,8 @@ protocol = mostly(
 
 # Integer spellings argparse must refuse: int() alone would read most of them.
 UNPARSEABLE_INTS = ("x", "", "1.5", "1_0", " 3", "+2", "\u0663", "2e0")
+# Float spellings argparse must refuse: float() alone reads them as 0.1, 0.9, 0.01.
+UNPARSEABLE_FLOATS = ("1_0e-2", "\u0660.\u0669", " 0.01 ")
 # Flags no subcommand has, and flags left without their value.
 UNKNOWN_FLAGS = texts("--bogus", "-x", "--n-max", "--trials", "--protocol", "--full=1")
 
@@ -138,9 +140,9 @@ def command_options(command: str):
     bad_n_max = texts("-1", "0", "1", "5", *UNPARSEABLE_INTS)
     options = [mostly(texts("2", "3", "4"), bad_n_max).map(lambda n: "--n-max=" + n)]
     if command == "run":
-        options.append(mostly(texts("0.93", "1"), texts("0", "1.5", "nan", "x", "")).map(
-            lambda f: "--per-pulse-fidelity=" + f
-        ))
+        options.append(mostly(texts("0.93", "1"), texts(
+            "0", "1.5", "nan", "x", "", *UNPARSEABLE_FLOATS
+        )).map(lambda f: "--per-pulse-fidelity=" + f))
         options.append(texts("--snapshots", "--full", "--out=-"))
     else:
         options.append(mostly(texts("1", "3"), texts("0", "-1", *UNPARSEABLE_INTS)).map(
@@ -150,7 +152,7 @@ def command_options(command: str):
             lambda s: "--seed=" + s
         ))
         options.append(mostly(texts("0", "0.01", "0.02"), texts(
-            "nan", "inf", "1e308", "0.3", "-0.1", "x"
+            "nan", "inf", "1e308", "0.3", "-0.1", "x", *UNPARSEABLE_FLOATS
         )).map(lambda s: "--jitter-sigma=" + s))
     listed = st.lists(st.one_of(*options), max_size=len(options) + 1)
     return st.tuples(listed, unknown).map(lambda pair: pair[0] + pair[1])
