@@ -39,7 +39,6 @@ COMMANDS = [
 
 def main(argv: list[str]) -> int:
     if len(argv) != 1:
-        print(__doc__.strip().splitlines()[0], file=sys.stderr)
         print("usage: python3 tools/report_hashes.py SRC_DIR", file=sys.stderr)
         return 2
     env = dict(os.environ, PYTHONPATH=os.path.abspath(argv[0]))
