@@ -18,6 +18,8 @@ import os
 import sys
 from typing import Any
 
+import numpy as np
+
 from .errors import TruncationError, ValidationError
 from .noise import NoiseConfig, fidelity_estimate, monte_carlo
 from .protocol import PulseSequence, Snapshot, chain_sequence, cluster6_sequence, run
@@ -162,11 +164,15 @@ def load_sequence(path: str) -> PulseSequence:
 
 
 def _amplitude_triples(state: RegisterState, full: bool) -> list[list[Any]]:
-    triples = []
-    for index, amp in enumerate(state.amplitudes):
-        if full or abs(amp) > REPORT_AMPLITUDE_FLOOR:
-            triples.append([basis_label(state, index), float(amp.real), float(amp.imag)])
-    return triples
+    amps = state.amplitudes
+    if full:
+        kept = range(amps.size)
+    else:
+        # hypot, as a scalar abs() computes it: the complex np.abs loop can
+        # differ in the last bit, which moves amplitudes across the floor.
+        magnitude = np.hypot(amps.real, amps.imag)
+        kept = np.flatnonzero(magnitude > REPORT_AMPLITUDE_FLOOR).tolist()
+    return [[basis_label(state, i), float(amps[i].real), float(amps[i].imag)] for i in kept]
 
 
 def _snapshot_entries(snapshots: list[Snapshot], full: bool) -> list[dict[str, Any]]:

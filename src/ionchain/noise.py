@@ -24,7 +24,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .errors import TruncationError, ValidationError
-from .protocol import PulseSequence, run, step_error
+from .protocol import PulseSequence, run
 from .pulse import (
     SIDEBAND_KINDS,
     TRUNCATION_ATOL,
@@ -32,7 +32,6 @@ from .pulse import (
     coupled_pairs,
     pulse_tables,
     rotate_pairs,
-    truncation_error,
 )
 from .register import MAX_AMPLITUDES, new_register, require_int, require_real
 
@@ -111,7 +110,6 @@ class _Step(NamedTuple):
     """One pulse compiled to positions in the compact amplitude vector."""
 
     pulse: Pulse
-    label: str | None
     # The a members of the pulse's coupled pairs, then their b partners in
     # the same order (see pulse.coupled_pairs).
     pairs: np.ndarray
@@ -143,34 +141,32 @@ def _compile(
     compact = np.empty(reach.size, dtype=np.intp)
     compact[support] = np.arange(support.size)
     steps = [
-        _Step(pulse, label, compact[pairs], rows, compact[top])
-        for pulse, label, (pairs, rows, top) in zip(seq.steps, seq.labels, dense_steps)
+        _Step(pulse, compact[pairs], rows, compact[top])
+        for pulse, (pairs, rows, top) in zip(seq.steps, dense_steps)
     ]
     return support, steps
 
 
 def _evolve(
     amps: np.ndarray, steps: list[_Step], thetas: np.ndarray, n_max: int
-) -> tuple[int, int, float] | None:
+) -> np.ndarray:
     """Evolve the (trials, support) array ``amps`` through ``steps`` in place.
 
-    ``thetas`` holds each trial's sideband areas in step order.  Returns
-    (row, 1-based step, leaked probability) for the first row that tripped
-    the truncation guard, at its first tripping step, or None.  The leak is
-    summed over the reachable top-rung states only, so it may differ from a
+    ``thetas`` holds each trial's sideband areas in step order.  Returns each
+    row's largest probability on a reachable |x,n_max> state before one of
+    its sideband steps, or NaN for a row whose area overflows a rotation
+    angle.  The sum runs over reachable states only, so it may differ from a
     dense run's in the last bit.
     """
-    tripped = np.zeros(len(amps), dtype=np.intp)
-    leaks = np.zeros(len(amps))
+    worst = np.zeros(len(amps))
     column = 0
-    for index, step in enumerate(steps, start=1):
+    for step in steps:
         pulse = step.pulse
         if pulse.kind in SIDEBAND_KINDS:
             leak = np.sum(np.abs(amps[:, step.top]) ** 2, axis=1)
-            new = (leak > TRUNCATION_ATOL) & (tripped == 0)
-            tripped[new] = index
-            leaks[new] = leak[new]
             c, s = pulse_tables(pulse.kind, thetas[:, column], n_max)
+            leak[~np.isfinite(c).all(axis=1)] = np.nan
+            worst = np.maximum(worst, leak)  # keeps NaN
             c, s = c[:, step.rows], s[:, step.rows]
             column += 1
         else:
@@ -183,10 +179,18 @@ def _evolve(
             out[:, :half], out[:, half:],
         )
         amps[:, step.pairs] = out
-    if not tripped.any():
-        return None
-    row = int(np.argmax(tripped > 0))
-    return row, int(tripped[row]), float(leaks[row])
+    return worst
+
+
+def _jittered(seq: PulseSequence, thetas: np.ndarray) -> PulseSequence:
+    """``seq`` with its sideband areas, in step order, replaced by ``thetas``."""
+    areas = iter(thetas.tolist())
+    steps = [
+        Pulse(step.kind, step.ion, step.phi, next(areas))
+        if step.kind in SIDEBAND_KINDS else step
+        for step in seq.steps
+    ]
+    return PulseSequence(seq.preps, steps, seq.labels)
 
 
 def monte_carlo(
@@ -212,10 +216,13 @@ def monte_carlo(
     sample is scored against the dense ideal state through one reused dense
     row, so it is bitwise the fidelity a dense run of the trial would give.
 
-    A trial whose jittered area is not finite raises the ValidationError
-    that Pulse gives; a trial that would couple more than 1e-12 past the
-    Fock cutoff raises TruncationError with its trial and step index.  The
-    first failing trial wins, as in a trial-by-trial run.  Jittered sequences
+    The batch only flags trials that may fail: a guard probability on
+    |x,n_max> near or above 1e-12, or an area that overflows.  Flagged
+    trials are replayed in order as a dense ``run`` of their jittered
+    pulses, and the replay decides: its TruncationError is re-raised with
+    ``trial N:`` prefixed and the trial index set, anything else passes
+    through, so a sweep fails exactly as a trial-by-trial run would.  A
+    flagged trial whose replay passes is scored from the batch.  Jittered sequences
     spread population above the levels the ideal run touches, so n_max needs
     headroom: the ideal-run cutoff of 2 aborts for any appreciable sigma.
     For the six-ion program n_max=4 is ample for sigma up to 0.05; longer
@@ -224,8 +231,7 @@ def monte_carlo(
     ideal, _ = run(seq, n_max=n_max)
     initial = new_register(list(seq.preps), n_max).amplitudes
     support, steps = _compile(seq, initial, n_max)
-    jittered = [step for step in seq.steps if step.kind in SIDEBAND_KINDS]
-    areas = np.array([step.theta for step in jittered])
+    areas = np.array([step.theta for step in seq.steps if step.kind in SIDEBAND_KINDS])
     batch = batch_trials(support.size, cfg.trials)
     rng = np.random.default_rng(cfg.seed)
     samples = np.empty(cfg.trials, dtype=np.float64)
@@ -233,31 +239,23 @@ def monte_carlo(
     dense = np.zeros(ideal.dim, dtype=np.complex128)
     for start in range(0, cfg.trials, batch):
         size = min(batch, cfg.trials - start)
-        eps = rng.normal(0.0, cfg.jitter_sigma, size=(size, len(jittered)))
+        eps = rng.normal(0.0, cfg.jitter_sigma, size=(size, areas.size))
+        amps = np.tile(start_amps, (size, 1))
         with np.errstate(over="ignore", invalid="ignore"):
             thetas = areas * (1.0 + eps)
-        finite = np.isfinite(thetas).all(axis=1)
-        good = size if finite.all() else int(np.argmin(finite))
-        amps = np.tile(start_amps, (good, 1))
-        failure = _evolve(amps, steps, thetas[:good], n_max)
-        if failure is not None:
-            row, index, leak = failure
-            step = steps[index - 1]
-            err = step_error(
-                truncation_error(step.pulse.ion, n_max, leak),
-                index, step.pulse, step.label,
-            )
-            raise TruncationError(
-                f"trial {start + row}: {err}",
-                leaked_probability=leak,
-                step_index=index,
-                trial_index=start + row,
-            )
-        if good < size:
-            column = int(np.argmin(np.isfinite(thetas[good])))
-            pulse = jittered[column]
-            # Raises the ValidationError a trial-by-trial run would.
-            Pulse(pulse.kind, pulse.ion, pulse.phi, float(thetas[good, column]))
+            worst = _evolve(amps, steps, thetas, n_max)
+        # The margin covers the guard's summation order; the replay is exact.
+        for row in np.flatnonzero(~(worst <= TRUNCATION_ATOL * (1.0 - 1e-6))):
+            trial = start + int(row)
+            try:
+                run(_jittered(seq, thetas[row]), n_max=n_max)
+            except TruncationError as err:
+                raise TruncationError(
+                    f"trial {trial}: {err}",
+                    leaked_probability=err.leaked_probability,
+                    step_index=err.step_index,
+                    trial_index=trial,
+                ) from err
         for row in range(size):
             dense[support] = amps[row]
             samples[start + row] = abs(complex(np.vdot(ideal.amplitudes, dense))) ** 2

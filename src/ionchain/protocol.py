@@ -150,17 +150,6 @@ def cluster6_sequence() -> PulseSequence:
     return chain_sequence(6)
 
 
-def step_error(
-    err: TruncationError, index: int, step: Pulse, label: str | None
-) -> TruncationError:
-    """``err`` restated for the 1-based step ``index`` of a sequence."""
-    return TruncationError(
-        f"step {index} ({label or step.kind.value} on ion {step.ion}): {err}",
-        leaked_probability=err.leaked_probability,
-        step_index=index,
-    )
-
-
 def run(
     seq: PulseSequence,
     n_max: int = 2,
@@ -178,7 +167,11 @@ def run(
         try:
             state = apply_pulse(state, step)
         except TruncationError as err:
-            raise step_error(err, i, step, label) from err
+            raise TruncationError(
+                f"step {i} ({label or step.kind.value} on ion {step.ion}): {err}",
+                leaked_probability=err.leaked_probability,
+                step_index=i,
+            ) from err
         if record_snapshots:
             snapshots.append(Snapshot(i, step, state, label))
     return state, snapshots

@@ -72,8 +72,9 @@ class Pulse:
     theta: float
 
     def __post_init__(self):
-        if self.kind not in tuple(PulseKind):
-            raise ValidationError(f"unknown pulse kind {self.kind!r}")
+        # Not a membership test: a plain string equals its str-valued member.
+        if not isinstance(self.kind, PulseKind):
+            raise ValidationError(f"pulse kind must be a PulseKind, got {self.kind!r}")
         object.__setattr__(self, "ion", require_int(self.ion, "ion index", 1))
         object.__setattr__(self, "phi", require_real(self.phi, "pulse parameters"))
         object.__setattr__(self, "theta", require_real(self.theta, "pulse parameters"))
@@ -100,12 +101,14 @@ def pulse_tables(kind: PulseKind, theta, n_max: int) -> tuple[np.ndarray, np.nda
     """cos and sin of the half angle each pair turns by, Fock row m last.
 
     A carrier turns every pair by theta/2; sideband pair m by
-    theta*sqrt(m+1)/2.  ``theta`` may be an array of areas, one row each.
+    theta*sqrt(m+1)/2.  ``theta`` may be an array of areas, one row each.  An
+    angle that overflows gives NaN entries, without a warning.
     """
-    half = 0.5 * np.asarray(theta)
-    if kind in SIDEBAND_KINDS:
-        half = half[..., None] * np.sqrt(np.arange(1, n_max + 1, dtype=np.float64))
-    return np.cos(half), np.sin(half)
+    with np.errstate(over="ignore", invalid="ignore"):
+        half = 0.5 * np.asarray(theta)
+        if kind in SIDEBAND_KINDS:
+            half = half[..., None] * np.sqrt(np.arange(1, n_max + 1, dtype=np.float64))
+        return np.cos(half), np.sin(half)
 
 
 def rotate_pairs(a, b, c, s, phi: float, out_a, out_b) -> None:
@@ -124,27 +127,28 @@ def rotate_pairs(a, b, c, s, phi: float, out_a, out_b) -> None:
     out_b[...] = c * b + e_minus * (s * a)
 
 
-def truncation_error(ion: int, n_max: int, leak: float) -> TruncationError:
-    """The error a sideband pulse on ``ion`` raises for ``leak`` > TRUNCATION_ATOL."""
-    return TruncationError(
-        f"sideband pulse on ion {ion} would couple {leak:.3e} probability "
-        f"past the Fock cutoff n_max={n_max}; raise n_max",
-        leaked_probability=leak,
-    )
-
-
 def apply_pulse(state: RegisterState, pulse: Pulse) -> RegisterState:
     """Apply one pulse; ValidationError for an ion the register lacks.
 
     A sideband pulse raises TruncationError instead of running when the
-    state carries more than 1e-12 probability on |x, n_max>.
+    state carries more than 1e-12 probability on |x, n_max>, and any pulse
+    raises ValidationError when its area overflows a rotation angle.
     """
     require_int(pulse.ion, "ion", 1, state.n_ions)
     a, b, top = coupled_pairs(state.amplitudes, pulse, state.n_max)
     leak = float(np.sum(np.abs(top) ** 2))
     if leak > TRUNCATION_ATOL:
-        raise truncation_error(pulse.ion, state.n_max, leak)
+        raise TruncationError(
+            f"sideband pulse on ion {pulse.ion} would couple {leak:.3e} probability "
+            f"past the Fock cutoff n_max={state.n_max}; raise n_max",
+            leaked_probability=leak,
+        )
     c, s = pulse_tables(pulse.kind, pulse.theta, state.n_max)
+    if not np.isfinite(c).all():  # cos and sin overflow together
+        raise ValidationError(
+            f"{pulse.kind.value} pulse on ion {pulse.ion}: area {pulse.theta!r} "
+            f"overflows its rotation angle at n_max={state.n_max}"
+        )
     out = state.amplitudes.copy()
     out_a, out_b, _ = coupled_pairs(out, pulse, state.n_max)
     rotate_pairs(a, b, c, s, pulse.phi, out_a, out_b)

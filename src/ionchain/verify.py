@@ -14,6 +14,7 @@ the reference up to global phase.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -53,9 +54,12 @@ def reference_cluster(n_qubits: int, n_max: int = 2) -> RegisterState:
     # Row k of ``levels`` is the basis label k, 0 -> |g>, 1 -> |e>, ion 1 first.
     levels = (np.arange(2**n_qubits)[:, None] >> np.arange(n_qubits - 1, -1, -1)) & 1
     flips = np.sum((levels[:, :-1] == 0) & (levels[:, 1:] == 1), axis=1)
-    amps = np.zeros(basis_shape(n_qubits, n_max), dtype=np.complex128)
-    amps[(*levels.T, 0)] = np.where(flips % 2 == 1, -scale, scale)
-    return RegisterState(n_qubits, n_max, amps.ravel())
+    shape = basis_shape(n_qubits, n_max)
+    # Flat and read-only, so the state adopts it instead of copying.
+    amps = np.zeros(math.prod(shape), dtype=np.complex128)
+    amps.reshape(shape)[(*levels.T, 0)] = np.where(flips % 2 == 1, -scale, scale)
+    amps.setflags(write=False)
+    return RegisterState(n_qubits, n_max, amps)
 
 
 def fidelity(state: RegisterState, ref: RegisterState) -> float:

@@ -6,6 +6,7 @@ import os
 import subprocess
 import sys
 
+import numpy as np
 import pytest
 
 import ionchain
@@ -461,6 +462,36 @@ class TestNoise:
         assert "pulse parameters must be finite" in err
 
 
+def old_amplitude_triples(state, full):
+    """The per-amplitude loop the report builder used to run, as the oracle."""
+    triples = []
+    for index, amp in enumerate(state.amplitudes):
+        if full or abs(amp) > cli.REPORT_AMPLITUDE_FLOOR:
+            triples.append([register.basis_label(state, index), float(amp.real),
+                            float(amp.imag)])
+    return triples
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_amplitude_triples_match_the_loop_at_the_floor(seed):
+    rng = np.random.default_rng(seed)
+    n_ions, n_max = 3, 2
+    dim = 3**n_ions * (n_max + 1)
+    # Magnitudes a few ulps either side of the floor, then +0.0, -0.0 and 1.
+    ulps = rng.integers(-4, 5, size=dim)
+    radius = cli.REPORT_AMPLITUDE_FLOOR + ulps * np.spacing(cli.REPORT_AMPLITUDE_FLOOR)
+    amps = radius * np.exp(1j * rng.uniform(0, 2 * np.pi, size=dim))
+    amps[rng.random(dim) < 0.1] = complex(0.0, -0.0)
+    amps[rng.random(dim) < 0.1] = complex(-0.0, 0.0)
+    amps[0] = 1.0
+    state = register.RegisterState(n_ions, n_max, amps)
+    for full in (False, True):
+        # repr keeps the sign of a zero, which == would not.
+        assert repr(cli._amplitude_triples(state, full)) == repr(
+            old_amplitude_triples(state, full)
+        )
+
+
 class TestArguments:
     @pytest.mark.parametrize("argv", BAD_FLAGS.values(), ids=BAD_FLAGS.keys())
     def test_bad_flags_exit_2_in_one_line(self, capsys, tmp_path, argv):
@@ -541,6 +572,23 @@ class TestProcess:
             env=_python_env(), capture_output=True, text=True,
         )
         assert (out.returncode, out.stderr, out.stdout) == (0, "", "")
+
+    def test_overflowing_area_is_one_stderr_line(self, tmp_path):
+        # Finite, but theta*sqrt(5)/2 overflows at n_max=5.
+        path = tmp_path / "over.json"
+        path.write_text(json.dumps({
+            "version": "1",
+            "ions": [[{"level": "e", "re": 1.0, "im": 0.0}]],
+            "steps": [{"kind": "sideband_ge", "ion": 1, "phi": 0.0, "theta": 1.7e308}],
+        }))
+        out = subprocess.run(
+            [sys.executable, "-m", "ionchain.cli", "run", "--sequence", str(path),
+             "--n-max", "5"],
+            env=_python_env(), capture_output=True, text=True,
+        )
+        assert (out.returncode, out.stdout) == (2, "")
+        assert out.stderr.startswith("error: ") and out.stderr.count("\n") == 1
+        assert "overflows" in out.stderr
 
     def test_error_is_one_stderr_line(self):
         out = subprocess.run(

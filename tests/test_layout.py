@@ -28,7 +28,7 @@ from ionchain import (
     population,
     reference_cluster,
 )
-from ionchain import pulse
+from ionchain import pulse, verify
 from ionchain.register import LEVEL_NAMES, LEVELS_BY_NAME, IonPrep
 
 
@@ -202,3 +202,15 @@ class TestOwnership:
         monkeypatch.setattr(pulse, "RegisterState", spy)
         state = new_register([IonPrep.basis(IonLevel.E)], 1)
         assert apply_pulse(state, half_sideband(1)).amplitudes is handed[0]
+
+    def test_reference_cluster_hands_over_the_buffer_it_keeps(self, monkeypatch):
+        handed = []
+
+        def spy(n_ions, n_max, amplitudes):
+            handed.append(amplitudes)
+            return RegisterState(n_ions, n_max, amplitudes)
+
+        monkeypatch.setattr(verify, "RegisterState", spy)
+        state = reference_cluster(4, 2)
+        assert state.amplitudes is handed[0]
+        assert state.amplitudes.base is None

@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import json
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -315,6 +316,74 @@ class TestBatchedParity:
         assert batch_trials(1, 10**9) == BATCH_BYTES // 16
         assert batch_trials(10_886, 1000) == 1  # chain:10's support: 174 KB a row
         assert batch_trials(3**20 * 5, 7) == 1  # never zero, however large
+
+
+# ---------------------------------------------------------------------------
+# Failures come from a dense replay of the failing trial
+# ---------------------------------------------------------------------------
+
+
+def _one_sideband(level: IonLevel, kind: PulseKind, theta: float) -> PulseSequence:
+    return PulseSequence((IonPrep.basis(level),), (Pulse(kind, 1, 0.0, theta),))
+
+
+class TestFailureReplay:
+    @pytest.mark.parametrize(
+        "seq, n_max, sigma, seed, trials",
+        [
+            (cluster6_sequence(), 2, 0.02, 1, 1000),
+            (cluster6_sequence(), 2, 2e-6, 1, 100),
+            (cluster6_sequence(), 2, 1e-6, 2, 300),
+            (chain_sequence(10), 4, 0.02, 0, 5),
+        ],
+    )
+    def test_error_is_the_dense_run_of_the_failing_trial(
+        self, seq, n_max, sigma, seed, trials
+    ):
+        cfg = NoiseConfig(jitter_sigma=sigma, trials=trials, seed=seed)
+        with pytest.raises(TruncationError) as dense:
+            trialwise(seq, cfg, n_max)
+        with pytest.raises(TruncationError) as batched:
+            monte_carlo(seq, cfg, n_max=n_max)
+        want, got = dense.value, batched.value
+        # trialwise chains the dense run's own error, leak included.
+        assert (str(got), got.step_index, got.trial_index, got.leaked_probability) == (
+            str(want), want.step_index, want.trial_index,
+            want.__cause__.leaked_probability,
+        )
+        assert type(got.trial_index) is int
+
+    def test_flagged_trial_whose_replay_passes_is_scored(self, monkeypatch):
+        # Only the batch's flag is tightened: the replays run at the real 1e-12.
+        monkeypatch.setattr("ionchain.noise.TRUNCATION_ATOL", 1e-15)
+        cfg = NoiseConfig(jitter_sigma=2e-6, trials=20, seed=1)
+        samples = monte_carlo(cluster6_sequence(), cfg, n_max=2).samples
+        assert np.array_equal(samples, trialwise(cluster6_sequence(), cfg, 2))
+
+    @pytest.mark.parametrize("sigma", [0.0, 0.01])
+    def test_area_overflowing_at_the_cutoff(self, sigma):
+        seq = _one_sideband(IonLevel.E, PulseKind.SIDEBAND_GE, 1.7e308)
+        cfg = NoiseConfig(jitter_sigma=sigma, trials=20, seed=0)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert assert_parity(seq, cfg, n_max=5) == "validation"
+
+    @pytest.mark.parametrize(
+        "level, kind",
+        [
+            (IonLevel.E, PulseKind.SIDEBAND_GE),
+            # No pair is reachable, so the overflowing step rotates nothing.
+            (IonLevel.G, PulseKind.SIDEBAND_GEPRIME),
+        ],
+    )
+    def test_jitter_overflowing_a_last_step(self, level, kind):
+        # The ideal area fits at n_max=5; about a quarter of the jittered
+        # ones overflow, after the last guard reading.
+        seq = _one_sideband(level, kind, 1.5e308)
+        cfg = NoiseConfig(jitter_sigma=0.1, trials=40, seed=0)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert assert_parity(seq, cfg, n_max=5) == "validation"
 
 
 _PREPS = [

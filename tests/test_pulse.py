@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -10,6 +11,7 @@ from ionchain import (
     IonPrep,
     Pulse,
     PulseKind,
+    PulseSequence,
     RegisterState,
     TruncationError,
     ValidationError,
@@ -23,6 +25,7 @@ from ionchain import (
     new_register,
     phase_gate,
     population,
+    run,
 )
 from conftest import make_random_state, permute_other_ions
 
@@ -166,8 +169,31 @@ class TestGadgets:
         assert Pulse(PulseKind.CARRIER, np.int64(2), 0.0, 1.0).ion == 2
         with pytest.raises(ValidationError, match="kind"):
             Pulse("sideband_ge_typo", 1, 0.0, 1.0)
+        with pytest.raises(ValidationError, match="kind"):
+            Pulse("sideband_ge", 1, 0.0, 1.0)
         with pytest.raises(ValidationError):
             Pulse(PulseKind.CARRIER, 1, math.nan, 1.0)
+
+
+class TestOverflowingArea:
+    # Finite, yet theta*sqrt(5)/2 overflows on the top Fock row at n_max=5.
+    AREA = 1.7e308
+
+    def test_apply_pulse_refuses_before_rotating(self):
+        state = single_ion_ket(IonLevel.E, 0, n_max=5)
+        pulse = Pulse(PulseKind.SIDEBAND_GE, 1, 0.0, self.AREA)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValidationError, match="overflows"):
+                apply_pulse(state, pulse)
+            seq = PulseSequence((IonPrep.basis(IonLevel.E),), (pulse,))
+            with pytest.raises(ValidationError, match="overflows"):
+                run(seq, n_max=5)
+
+    def test_largest_area_that_fits_still_runs(self):
+        state = single_ion_ket(IonLevel.E, 0, n_max=4)
+        out = apply_pulse(state, Pulse(PulseKind.SIDEBAND_GE, 1, 0.0, self.AREA))
+        assert np.isfinite(out.amplitudes).all()
 
 
 class TestUnitarityProperties:

@@ -1,4 +1,4 @@
-"""Print the sha256 of the stdout of each contract command, for one source tree.
+"""Print the sha256 of the output of each contract command, for one source tree.
 
 Usage::
 
@@ -6,17 +6,22 @@ Usage::
 
 ``SRC_DIR`` is the directory that holds the ``ionchain`` package (``src`` in
 a checkout).  Each command runs as ``python -m ionchain.cli ARGV`` with
-``PYTHONPATH=SRC_DIR`` in a fresh temporary working directory, and one line
-``sha256[:16]  argv`` is printed per command.  The sequence file is emitted
-to the fixed relative name ``cluster6.json`` in that directory, so the
-``run --sequence`` report (which names its file) hashes the same for every
-tree.  Comparing two trees is then one ``diff`` of two outputs.  A command
-that exits non-zero stops the tool with its exit code and stderr.
+``PYTHONPATH=SRC_DIR`` in a fresh temporary working directory.  A command
+that must succeed prints ``sha256(stdout)[:16]  argv``; one that must fail
+prints ``sha256(stderr)[:16]  exit N  argv``, pinning its one-line reason.
+The sequence file is emitted to the fixed relative name ``cluster6.json`` in
+that directory, so the ``run --sequence`` report (which names its file)
+hashes the same for every tree; ``hot.json`` is a one-ion program whose
+third step leaks past ``--n-max 1``.  Comparing two trees is then one
+``diff`` of two outputs.  A command that exits with another code stops the
+tool with its exit code and stderr.
 """
 
 from __future__ import annotations
 
 import hashlib
+import json
+import math
 import os
 import subprocess
 import sys
@@ -36,6 +41,28 @@ COMMANDS = [
     ["run", "--sequence", "cluster6.json", "--full"],
 ]
 
+#: (exit code, argv) of commands that must fail.
+FAILURES = [
+    (3, ["noise", "--protocol", "cluster6", "--jitter-sigma", "0.02", "--trials", "1000",
+         "--seed", "1", "--n-max", "2"]),
+    (3, ["noise", "--protocol", "chain:10", "--jitter-sigma", "0.02", "--trials", "5",
+         "--seed", "0", "--n-max", "4"]),
+    (3, ["noise", "--protocol", "cluster6", "--jitter-sigma", "2e-6", "--trials", "100",
+         "--seed", "1", "--n-max", "2"]),
+    (3, ["run", "--sequence", "hot.json", "--n-max", "1"]),
+    (3, ["noise", "--sequence", "hot.json", "--n-max", "1", "--jitter-sigma", "0.1"]),
+]
+
+HOT_SEQUENCE = {
+    "version": "1",
+    "ions": [[{"level": "e", "re": 1.0, "im": 0.0}]],
+    "steps": [
+        {"kind": "sideband_ge", "ion": 1, "phi": math.pi, "theta": math.pi},
+        {"kind": "carrier", "ion": 1, "phi": 0.0, "theta": math.pi},
+        {"kind": "sideband_ge", "ion": 1, "phi": math.pi, "theta": 0.5},
+    ],
+}
+
 
 def main(argv: list[str]) -> int:
     if len(argv) != 1:
@@ -43,17 +70,23 @@ def main(argv: list[str]) -> int:
         return 2
     env = dict(os.environ, PYTHONPATH=os.path.abspath(argv[0]))
     with tempfile.TemporaryDirectory() as cwd:
-        for args in COMMANDS:
+        with open(os.path.join(cwd, "hot.json"), "w", encoding="utf-8") as fh:
+            json.dump(HOT_SEQUENCE, fh)
+        for code, args in [(0, args) for args in COMMANDS] + FAILURES:
             proc = subprocess.run(
                 [sys.executable, "-m", "ionchain.cli", *args],
                 cwd=cwd, env=env, stdout=subprocess.PIPE, stderr=subprocess.PIPE,
             )
-            if proc.returncode != 0:
+            if proc.returncode != code:
                 sys.stderr.write(proc.stderr.decode(errors="replace"))
                 print(f"exit {proc.returncode}: {' '.join(args)}", file=sys.stderr)
-                return proc.returncode
-            digest = hashlib.sha256(proc.stdout).hexdigest()[:16]
-            print(f"{digest}  {' '.join(args)}")
+                return proc.returncode or 1
+            if code == 0:
+                digest = hashlib.sha256(proc.stdout).hexdigest()[:16]
+                print(f"{digest}  {' '.join(args)}")
+            else:
+                digest = hashlib.sha256(proc.stderr).hexdigest()[:16]
+                print(f"{digest}  exit {code}  {' '.join(args)}")
     return 0
 
 
