@@ -186,3 +186,52 @@ class TestChainGeneralization:
         assert len(chain_sequence(4).steps) == 4 + 3
         assert len(chain_sequence(6).steps) == 4 + 3 + 4
         assert len(chain_sequence(8).steps) == 4 + 3 + 4 + 4
+
+
+SPLIT = "split ion 1 into the bus"
+CARRIER = "carrier rotation on ion 1"
+
+
+def _phase(k):
+    return f"conditional phase between bus and ion {k}"
+
+
+def _load(k):
+    return f"load ion {k} into the bus"
+
+
+def _empty(k):
+    return f"empty the bus into ion {k}"
+
+
+class TestProgramPinned:
+    """Labels and preparations of chain programs, written out by hand."""
+
+    @pytest.mark.parametrize("n_ions, labels", [
+        (2, [SPLIT, _phase(1), _empty(2), CARRIER]),
+        (3, [SPLIT, _phase(3), _empty(2), CARRIER]),
+        (7, [SPLIT, _phase(3), _empty(2), CARRIER,
+             _load(4), _phase(3), _phase(5), _empty(4),
+             _load(6), _phase(5), _phase(7), _empty(6)]),
+        (8, [SPLIT, _phase(3), _empty(2), CARRIER,
+             _load(4), _phase(3), _phase(5), _empty(4),
+             _load(6), _phase(5), _phase(7), _empty(6),
+             _load(8), _phase(7), _empty(8)]),
+    ])
+    def test_labels(self, n_ions, labels):
+        assert list(chain_sequence(n_ions).labels) == labels
+
+    def test_chain2_preparations(self):
+        assert chain_sequence(2).preps == (
+            IonPrep.basis(IonLevel.E), IonPrep.basis(IonLevel.G)
+        )
+
+    @pytest.mark.parametrize("n_ions", range(3, 11))
+    def test_final_preparation_sign(self, n_ions):
+        half = 1.0 / math.sqrt(2.0)
+        sign = 1.0 if n_ions % 2 == 0 else -1.0
+        preps = chain_sequence(n_ions).preps
+        minus = IonPrep([(IonLevel.G, half), (IonLevel.E, -half)])
+        assert preps[-1] == IonPrep([(IonLevel.G, half), (IonLevel.E, sign * half)])
+        assert preps[:2] == (IonPrep.basis(IonLevel.E), IonPrep.basis(IonLevel.G))
+        assert preps[2:-1] == (minus,) * (n_ions - 3)
