@@ -36,6 +36,15 @@ from .register import (
 
 _INV_SQRT2 = 1.0 / sqrt(2.0)
 
+#: Label template of each gadget ``chain_sequence`` uses, filled with its ion.
+_LABELS = {
+    half_sideband: "split ion {} into the bus",
+    phase_gate: "conditional phase between bus and ion {}",
+    map_mode_to_ion: "empty the bus into ion {}",
+    map_ion_to_mode: "load ion {} into the bus",
+    carrier: "carrier rotation on ion {}",
+}
+
 
 @dataclass(frozen=True)
 class PulseSequence:
@@ -79,22 +88,6 @@ class Snapshot:
     label: str | None = None
 
 
-def _ground() -> IonPrep:
-    return IonPrep.basis(IonLevel.G)
-
-
-def _excited() -> IonPrep:
-    return IonPrep.basis(IonLevel.E)
-
-
-def _g_minus_e() -> IonPrep:
-    return IonPrep([(IonLevel.G, _INV_SQRT2), (IonLevel.E, -_INV_SQRT2)])
-
-
-def _g_plus_e() -> IonPrep:
-    return IonPrep([(IonLevel.G, _INV_SQRT2), (IonLevel.E, _INV_SQRT2)])
-
-
 def chain_sequence(n_ions: int) -> PulseSequence:
     """Pulse program producing the ``n_ions``-qubit linear cluster state.
 
@@ -109,40 +102,21 @@ def chain_sequence(n_ions: int) -> PulseSequence:
     n_ions = require_int(n_ions, "chain length", 2)
     check_register_size(n_ions, 1)
 
-    preps: list[IonPrep] = [_excited(), _ground()]
-    for k in range(3, n_ions + 1):
-        if k == n_ions and n_ions % 2 == 0:
-            preps.append(_g_plus_e())
-        else:
-            preps.append(_g_minus_e())
-
-    steps: list[Pulse] = [half_sideband(1)]
-    labels: list[str] = ["split ion 1 into the bus"]
-
-    if n_ions == 2:
-        steps.append(phase_gate(1))
-        labels.append("conditional phase between bus and ion 1")
-    else:
-        steps.append(phase_gate(3))
-        labels.append("conditional phase between bus and ion 3")
-
-    steps.append(map_mode_to_ion(2))
-    labels.append("empty the bus into ion 2")
-    steps.append(carrier(1))
-    labels.append("carrier rotation on ion 1")
-
+    preps = [IonPrep.basis(IonLevel.E), IonPrep.basis(IonLevel.G)] + [
+        IonPrep([(IonLevel.G, _INV_SQRT2),
+                 (IonLevel.E, _INV_SQRT2 if k == n_ions and k % 2 == 0 else -_INV_SQRT2)])
+        for k in range(3, n_ions + 1)
+    ]
+    plan = [(half_sideband, 1), (phase_gate, 1 if n_ions == 2 else 3),
+            (map_mode_to_ion, 2), (carrier, 1)]
     for m in range(4, n_ions + 1, 2):
-        steps.append(map_ion_to_mode(m))
-        labels.append(f"load ion {m} into the bus")
-        steps.append(phase_gate(m - 1))
-        labels.append(f"conditional phase between bus and ion {m - 1}")
-        if m + 1 <= n_ions:
-            steps.append(phase_gate(m + 1))
-            labels.append(f"conditional phase between bus and ion {m + 1}")
-        steps.append(map_mode_to_ion(m))
-        labels.append(f"empty the bus into ion {m}")
-
-    return PulseSequence(tuple(preps), tuple(steps), tuple(labels))
+        gates = [(phase_gate, k) for k in (m - 1, m + 1) if k <= n_ions]
+        plan += [(map_ion_to_mode, m), *gates, (map_mode_to_ion, m)]
+    return PulseSequence(
+        tuple(preps),
+        tuple(gadget(ion) for gadget, ion in plan),
+        tuple(_LABELS[gadget].format(ion) for gadget, ion in plan),
+    )
 
 
 def cluster6_sequence() -> PulseSequence:
