@@ -145,12 +145,24 @@ def sequence_from_document(doc: Any) -> PulseSequence:
     return PulseSequence(tuple(preps), tuple(steps), tuple(labels))
 
 
+def _fields(pairs: list[tuple[str, object]]) -> dict:
+    """One JSON object as a dict, refusing a name it repeats (``json`` keeps the last)."""
+    obj: dict = {}
+    for name, value in pairs:
+        if name in obj:
+            raise ValidationError(f"repeated field {name!r}")
+        obj[name] = value
+    return obj
+
+
 def load_sequence(path: str) -> PulseSequence:
     try:
         with open(path, "r", encoding="utf-8") as fh:
-            doc = json.load(fh)
+            doc = json.load(fh, object_pairs_hook=_fields)
     except OSError as err:
         raise ValidationError(f"cannot read sequence file {path}: {err}") from err
+    except ValidationError as err:
+        raise ValidationError(f"sequence file {path}: {err}") from err
     except (ValueError, RecursionError) as err:
         # JSONDecodeError, bad UTF-8, an integer past Python's digit limit,
         # or nesting deeper than the parser's recursion.

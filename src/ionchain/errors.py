@@ -30,3 +30,14 @@ class TruncationError(RuntimeError):
         self.leaked_probability = leaked_probability
         self.step_index = step_index
         self.trial_index = trial_index
+
+
+def prefixed(err: ValidationError | TruncationError, where: str, **index: int):
+    """Copy of ``err`` whose message starts with ``where: ``.
+
+    The copy has the same type and attributes; ``index`` sets
+    ``step_index`` or ``trial_index`` on it.
+    """
+    located = type(err)(f"{where}: {err}")
+    located.__dict__.update(err.__dict__, **index)
+    return located

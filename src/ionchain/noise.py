@@ -23,7 +23,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .errors import TruncationError, ValidationError
+from .errors import TruncationError, ValidationError, prefixed
 from .protocol import PulseSequence, run
 from .pulse import (
     SIDEBAND_KINDS,
@@ -219,14 +219,16 @@ def monte_carlo(
     The batch only flags trials that may fail: a guard probability on
     |x,n_max> near or above 1e-12, or an area that overflows.  Flagged
     trials are replayed in order as a dense ``run`` of their jittered
-    pulses, and the replay decides: its TruncationError is re-raised with
-    ``trial N:`` prefixed and the trial index set, anything else passes
-    through, so a sweep fails exactly as a trial-by-trial run would.  A
-    flagged trial whose replay passes is scored from the batch.  Jittered sequences
+    pulses, and the replay decides: its TruncationError or ValidationError
+    is re-raised with ``trial N:`` prefixed and the trial index set, so a
+    sweep fails exactly as a trial-by-trial run would.  A flagged trial
+    whose replay passes is scored from the batch.  Jittered sequences
     spread population above the levels the ideal run touches, so n_max needs
-    headroom: the ideal-run cutoff of 2 aborts for any appreciable sigma.
-    For the six-ion program n_max=4 is ample for sigma up to 0.05; longer
-    chains need more (chain:10 trips at n_max=4 with sigma 0.02).
+    headroom.  A red sideband conserves ion excitations plus phonons and
+    only carriers change that count, so the states a program can reach
+    have a largest phonon number whatever the areas: chain:N reaches no
+    |x,n_max> state from n_max = N // 2 (1 for chain:2 and chain:3), where
+    no sigma can truncate.  The six-ion program needs 3, chain:10 needs 5.
     """
     ideal, _ = run(seq, n_max=n_max)
     initial = new_register(list(seq.preps), n_max).amplitudes
@@ -249,13 +251,8 @@ def monte_carlo(
             trial = start + int(row)
             try:
                 run(_jittered(seq, thetas[row]), n_max=n_max)
-            except TruncationError as err:
-                raise TruncationError(
-                    f"trial {trial}: {err}",
-                    leaked_probability=err.leaked_probability,
-                    step_index=err.step_index,
-                    trial_index=trial,
-                ) from err
+            except (TruncationError, ValidationError) as err:
+                raise prefixed(err, f"trial {trial}", trial_index=trial) from err
         for row in range(size):
             dense[support] = amps[row]
             samples[start + row] = abs(complex(np.vdot(ideal.amplitudes, dense))) ** 2

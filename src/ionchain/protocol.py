@@ -14,7 +14,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from math import sqrt
 
-from .errors import TruncationError, ValidationError
+from .errors import TruncationError, ValidationError, prefixed
 from .pulse import (
     SIDEBAND_KINDS,
     Pulse,
@@ -132,20 +132,18 @@ def run(
     """Build the initial register, apply every step in order.
 
     Returns the final state and, when requested, one Snapshot per step.
-    A TruncationError raised by any pulse is re-raised with the 1-based
-    step index attached.
+    A TruncationError or ValidationError raised by any pulse is re-raised
+    with the step named before its message and the 1-based step index
+    attached.
     """
     state = new_register(list(seq.preps), n_max)
     snapshots: list[Snapshot] = []
     for i, (step, label) in enumerate(zip(seq.steps, seq.labels), start=1):
         try:
             state = apply_pulse(state, step)
-        except TruncationError as err:
-            raise TruncationError(
-                f"step {i} ({label or step.kind.value} on ion {step.ion}): {err}",
-                leaked_probability=err.leaked_probability,
-                step_index=i,
-            ) from err
+        except (TruncationError, ValidationError) as err:
+            where = f"step {i} ({label or step.kind.value} on ion {step.ion})"
+            raise prefixed(err, where, step_index=i) from err
         if record_snapshots:
             snapshots.append(Snapshot(i, step, state, label))
     return state, snapshots

@@ -70,6 +70,14 @@ WRONGLY_TYPED = {
     "not-utf8": "\udcff",
 }
 
+# Sequence files that repeat a field: json keeps the last value, so each
+# used to run whatever the last one said.
+REPEATED = {
+    "steps": _CHAIN2_TEXT[:-1] + ', "steps": []}',
+    "theta": _CHAIN2_TEXT.replace('"theta": ', '"theta": 0.0, "theta": ', 1),
+    "re": _CHAIN2_TEXT.replace('"re": ', '"re": 0.0, "re": ', 1),
+}
+
 # Command lines argparse refuses: each used to print a usage block or a
 # "prog: error:" line of argparse's own instead of the one-line error.
 BAD_FLAGS = {
@@ -317,6 +325,14 @@ class TestRun:
         assert code == 2
         assert out == ""
         assert err.startswith("error: ") and err.count("\n") == 1
+
+    @pytest.mark.parametrize("name, text", REPEATED.items(), ids=REPEATED.keys())
+    def test_repeated_field_exits_2(self, capsys, tmp_path, name, text):
+        path = tmp_path / "twice.json"
+        path.write_text(text)
+        code, out, err = run_cli(capsys, "run", "--sequence", str(path))
+        assert (code, out) == (2, "")
+        assert err == f"error: sequence file {path}: repeated field {name!r}\n"
 
     def test_well_typed_variants_still_run(self, capsys, tmp_path):
         # Integer numbers and a present string label are the strict types.
@@ -589,6 +605,26 @@ class TestProcess:
         assert (out.returncode, out.stdout) == (2, "")
         assert out.stderr.startswith("error: ") and out.stderr.count("\n") == 1
         assert "overflows" in out.stderr
+
+    @pytest.mark.parametrize("argv, line", [
+        (["run", "--sequence", "over.json", "--n-max", "5"],
+         "error: step 1 (sideband_ge on ion 1): sideband_ge pulse on ion 1: area"
+         " 1.7e+308 overflows its rotation angle at n_max=5\n"),
+        (["noise", "--protocol", "cluster6", "--jitter-sigma", "1e308", "--trials", "3",
+          "--n-max", "4"],
+         "error: trial 0: pulse parameters must be finite and real, got inf\n"),
+    ])
+    def test_validation_error_names_its_step_or_trial(self, tmp_path, argv, line):
+        (tmp_path / "over.json").write_text(json.dumps({
+            "version": "1",
+            "ions": [[{"level": "e", "re": 1.0, "im": 0.0}]],
+            "steps": [{"kind": "sideband_ge", "ion": 1, "phi": 0.0, "theta": 1.7e308}],
+        }))
+        out = subprocess.run(
+            [sys.executable, "-m", "ionchain.cli", *argv],
+            cwd=tmp_path, env=_python_env(), capture_output=True, text=True,
+        )
+        assert (out.returncode, out.stdout, out.stderr) == (2, "", line)
 
     def test_error_is_one_stderr_line(self):
         out = subprocess.run(

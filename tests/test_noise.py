@@ -29,6 +29,7 @@ from ionchain import (
     run,
 )
 from ionchain.cli import load_sequence
+from ionchain.errors import prefixed
 from ionchain.noise import BATCH_BYTES, _compile, batch_trials
 from ionchain.register import MAX_AMPLITUDES
 
@@ -201,19 +202,21 @@ def trialwise(seq: PulseSequence, cfg: NoiseConfig, n_max: int) -> np.ndarray:
     rng = np.random.default_rng(cfg.seed)
     samples = np.empty(cfg.trials)
     for trial in range(cfg.trials):
-        steps = [
-            step if step.kind == PulseKind.CARRIER else Pulse(
-                step.kind, step.ion, step.phi,
-                step.theta * (1.0 + rng.normal(0.0, cfg.jitter_sigma)),
-            )
-            for step in seq.steps
-        ]
         try:
+            steps = [
+                step if step.kind == PulseKind.CARRIER else Pulse(
+                    step.kind, step.ion, step.phi,
+                    step.theta * (1.0 + rng.normal(0.0, cfg.jitter_sigma)),
+                )
+                for step in seq.steps
+            ]
             final, _ = run(PulseSequence(seq.preps, steps, seq.labels), n_max=n_max)
         except TruncationError as err:
             raise TruncationError(
                 f"trial {trial}: {err}", step_index=err.step_index, trial_index=trial
             ) from err
+        except ValidationError as err:
+            raise ValidationError(f"trial {trial}: {err}") from err
         samples[trial] = fidelity(final, ideal)
     return samples
 
@@ -368,6 +371,20 @@ class TestFailureReplay:
             warnings.simplefilter("error")
             assert assert_parity(seq, cfg, n_max=5) == "validation"
 
+    def test_unbuildable_trial_is_named(self):
+        cfg = NoiseConfig(jitter_sigma=1e308, trials=3, seed=0)
+        with pytest.raises(ValidationError) as excinfo:
+            monte_carlo(cluster6_sequence(), cfg, n_max=4)
+        assert str(excinfo.value) == "trial 0: pulse parameters must be finite and real, got inf"
+        assert excinfo.value.trial_index == 0
+
+    def test_prefixed_keeps_type_and_attributes(self):
+        err = TruncationError("leak", leaked_probability=0.5, step_index=3)
+        got = prefixed(err, "trial 7", trial_index=7)
+        assert type(got) is TruncationError and str(got) == "trial 7: leak"
+        assert (got.leaked_probability, got.step_index, got.trial_index) == (0.5, 3, 7)
+        assert err.trial_index is None
+
     @pytest.mark.parametrize(
         "level, kind",
         [
@@ -424,3 +441,32 @@ def jittered_programs(draw):
 def test_batched_matches_trialwise_on_random_programs(case):
     seq, cfg, n_max = case
     assert_parity(seq, cfg, n_max)
+
+
+# ---------------------------------------------------------------------------
+# The cutoff no jitter can truncate
+# ---------------------------------------------------------------------------
+
+
+def _guard_states(n_ions: int, n_max: int) -> int:
+    """Reachable |x,n_max> states summed over chain:N's steps, whatever the areas."""
+    seq = chain_sequence(n_ions)
+    _, steps = _compile(seq, new_register(list(seq.preps), n_max).amplitudes, n_max)
+    return sum(step.top.size for step in steps)
+
+
+class TestCutoffBound:
+    @pytest.mark.parametrize("n_ions", range(2, 11))
+    def test_guard_sets_are_empty_from_half_the_chain(self, n_ions):
+        bound = max(1, n_ions // 2)
+        assert _guard_states(n_ions, bound) == 0
+        if n_ions >= 4:
+            assert _guard_states(n_ions, bound - 1) > 0
+
+    def test_cluster6_at_the_bound_survives_large_jitter(self):
+        cfg = NoiseConfig(jitter_sigma=0.3, trials=50, seed=2)
+        mean = monte_carlo(cluster6_sequence(), cfg, n_max=3).mean_fidelity
+        assert mean == pytest.approx(0.3108155042189504, abs=1e-12)
+        with pytest.raises(TruncationError) as below:
+            monte_carlo(cluster6_sequence(), cfg, n_max=2)
+        assert (below.value.trial_index, below.value.step_index) == (0, 9)

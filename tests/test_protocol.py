@@ -106,6 +106,20 @@ class TestRunner:
             run(seq, n_max=1)
         assert excinfo.value.step_index == 3
 
+    def test_overflowing_area_reports_step_index(self):
+        from ionchain import Pulse
+
+        seq = PulseSequence(
+            (IonPrep.basis(IonLevel.E),),
+            (Pulse(PulseKind.SIDEBAND_GE, 1, 0.0, 1.7e308),),
+        )
+        with pytest.raises(ValidationError) as excinfo:
+            run(seq, n_max=5)
+        assert excinfo.value.step_index == 1
+        assert str(excinfo.value).startswith(
+            "step 1 (sideband_ge on ion 1): sideband_ge pulse on ion 1: area 1.7e+308"
+        )
+
 
 @pytest.fixture(scope="module")
 def snapshots():

@@ -12,7 +12,9 @@ prints ``sha256(stderr)[:16]  exit N  argv``, pinning its one-line reason.
 The sequence file is emitted to the fixed relative name ``cluster6.json`` in
 that directory, so the ``run --sequence`` report (which names its file)
 hashes the same for every tree; ``hot.json`` is a one-ion program whose
-third step leaks past ``--n-max 1``.  Comparing two trees is then one
+third step leaks past ``--n-max 1``, ``one.json`` one whose only area
+overflows its rotation angle at ``--n-max 5``, and ``twice.json`` one that
+repeats its ``steps`` field.  Comparing two trees is then one
 ``diff`` of two outputs.  A command that exits with another code stops the
 tool with its exit code and stderr.
 """
@@ -51,6 +53,10 @@ FAILURES = [
          "--seed", "1", "--n-max", "2"]),
     (3, ["run", "--sequence", "hot.json", "--n-max", "1"]),
     (3, ["noise", "--sequence", "hot.json", "--n-max", "1", "--jitter-sigma", "0.1"]),
+    (2, ["run", "--sequence", "one.json", "--n-max", "5"]),
+    (2, ["noise", "--protocol", "cluster6", "--jitter-sigma", "1e308", "--trials", "3",
+         "--n-max", "4"]),
+    (2, ["run", "--sequence", "twice.json"]),
 ]
 
 HOT_SEQUENCE = {
@@ -63,6 +69,18 @@ HOT_SEQUENCE = {
     ],
 }
 
+ONE_SEQUENCE = {
+    "version": "1",
+    "ions": [[{"level": "e", "re": 1.0, "im": 0.0}]],
+    "steps": [{"kind": "sideband_ge", "ion": 1, "phi": 0.0, "theta": 1.7e308}],
+}
+
+# Raw text: ``json.dump`` cannot write a repeated key.
+TWICE_TEXT = (
+    '{"version": "1", "ions": [[{"level": "g", "re": 1.0, "im": 0.0}]], '
+    '"steps": [{"kind": "carrier", "ion": 1, "phi": 0.0, "theta": 1.0}], "steps": []}'
+)
+
 
 def main(argv: list[str]) -> int:
     if len(argv) != 1:
@@ -70,8 +88,11 @@ def main(argv: list[str]) -> int:
         return 2
     env = dict(os.environ, PYTHONPATH=os.path.abspath(argv[0]))
     with tempfile.TemporaryDirectory() as cwd:
-        with open(os.path.join(cwd, "hot.json"), "w", encoding="utf-8") as fh:
-            json.dump(HOT_SEQUENCE, fh)
+        for name, doc in (("hot.json", HOT_SEQUENCE), ("one.json", ONE_SEQUENCE)):
+            with open(os.path.join(cwd, name), "w", encoding="utf-8") as fh:
+                json.dump(doc, fh)
+        with open(os.path.join(cwd, "twice.json"), "w", encoding="utf-8") as fh:
+            fh.write(TWICE_TEXT)
         for code, args in [(0, args) for args in COMMANDS] + FAILURES:
             proc = subprocess.run(
                 [sys.executable, "-m", "ionchain.cli", *args],
