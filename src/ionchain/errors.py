@@ -32,7 +32,7 @@ class TruncationError(RuntimeError):
         self.trial_index = trial_index
 
 
-def prefixed(err: ValidationError | TruncationError, where: str, **index: int):
+def prefixed(err: ValidationError | TruncationError, where: str, **index: int) -> Exception:
     """Copy of ``err`` whose message starts with ``where: ``.
 
     The copy has the same type and attributes; ``index`` sets

@@ -375,8 +375,9 @@ class TestFailureReplay:
         cfg = NoiseConfig(jitter_sigma=1e308, trials=3, seed=0)
         with pytest.raises(ValidationError) as excinfo:
             monte_carlo(cluster6_sequence(), cfg, n_max=4)
-        assert str(excinfo.value) == "trial 0: pulse parameters must be finite and real, got inf"
-        assert excinfo.value.trial_index == 0
+        err = excinfo.value
+        assert str(err) == "trial 0: pulse parameters must be finite and real, got inf"
+        assert err.trial_index == 0
 
     def test_prefixed_keeps_type_and_attributes(self):
         err = TruncationError("leak", leaked_probability=0.5, step_index=3)
