@@ -16,6 +16,7 @@ import argparse
 import json
 import os
 import sys
+from collections import Counter
 from typing import Any
 
 import numpy as np
@@ -25,7 +26,7 @@ from .noise import NoiseConfig, fidelity_estimate, monte_carlo
 from .protocol import PulseSequence, Snapshot, chain_sequence, cluster6_sequence, run
 from .pulse import Pulse, PulseKind
 from .register import (
-    LEVEL_NAMES, LEVELS_BY_NAME, IonPrep, RegisterState, basis_label, require_int,
+    LEVEL_NAMES, LEVELS_BY_NAME, IonPrep, RegisterState, basis_labels, require_int,
     require_real,
 )
 from .verify import verify_run
@@ -75,6 +76,8 @@ def sequence_to_document(seq: PulseSequence) -> dict[str, Any]:
 def _require_keys(obj: Any, allowed: set[str], required: set[str], where: str) -> None:
     if not isinstance(obj, dict):
         raise ValidationError(f"{where} must be a JSON object, got {obj!r}")
+    if getattr(obj, "repeated", None) is not None:
+        raise ValidationError(f"repeated field {obj.repeated!r} in {where}")
     unknown = set(obj) - allowed
     if unknown:
         raise ValidationError(f"unknown fields {sorted(unknown)} in {where}")
@@ -145,24 +148,21 @@ def sequence_from_document(doc: Any) -> PulseSequence:
     return PulseSequence(tuple(preps), tuple(steps), tuple(labels))
 
 
-def _fields(pairs: list[tuple[str, object]]) -> dict:
-    """One JSON object as a dict, refusing a name it repeats (``json`` keeps the last)."""
-    obj: dict = {}
-    for name, value in pairs:
-        if name in obj:
-            raise ValidationError(f"repeated field {name!r}")
-        obj[name] = value
-    return obj
+class _Fields(dict):
+    """One JSON object from a file; ``repeated`` is a name it gave twice, or None."""
+
+    def __init__(self, pairs: list[tuple[str, Any]]):
+        super().__init__(pairs)  # json.load alone would keep the last value silently
+        counts = Counter(name for name, _ in pairs)
+        self.repeated = next((name for name, k in counts.items() if k > 1), None)
 
 
 def load_sequence(path: str) -> PulseSequence:
     try:
         with open(path, "r", encoding="utf-8") as fh:
-            doc = json.load(fh, object_pairs_hook=_fields)
+            doc = json.load(fh, object_pairs_hook=_Fields)
     except OSError as err:
         raise ValidationError(f"cannot read sequence file {path}: {err}") from err
-    except ValidationError as err:
-        raise ValidationError(f"sequence file {path}: {err}") from err
     except (ValueError, RecursionError) as err:
         # JSONDecodeError, bad UTF-8, an integer past Python's digit limit,
         # or nesting deeper than the parser's recursion.
@@ -178,28 +178,27 @@ def load_sequence(path: str) -> PulseSequence:
 def _amplitude_triples(state: RegisterState, full: bool) -> list[list[Any]]:
     amps = state.amplitudes
     if full:
-        kept = range(amps.size)
+        kept = np.arange(amps.size)
     else:
         # hypot, as a scalar abs() computes it: the complex np.abs loop can
         # differ in the last bit, which moves amplitudes across the floor.
-        magnitude = np.hypot(amps.real, amps.imag)
-        kept = np.flatnonzero(magnitude > REPORT_AMPLITUDE_FLOOR).tolist()
-    return [[basis_label(state, i), float(amps[i].real), float(amps[i].imag)] for i in kept]
+        kept = np.flatnonzero(np.hypot(amps.real, amps.imag) > REPORT_AMPLITUDE_FLOOR)
+    # tolist() gives Python floats and keeps the sign of a zero.
+    re, im = amps.real[kept].tolist(), amps.imag[kept].tolist()
+    return [[s, x, y] for s, x, y in zip(basis_labels(state.n_ions, state.n_max, kept), re, im)]
 
 
 def _snapshot_entries(snapshots: list[Snapshot], full: bool) -> list[dict[str, Any]]:
-    entries = []
-    for snap in snapshots:
-        entries.append(
-            {
-                "step_index": snap.step_index,
-                "kind": snap.pulse.kind.value,
-                "ion": snap.pulse.ion,
-                "label": snap.label,
-                "amplitudes": _amplitude_triples(snap.state, full),
-            }
-        )
-    return entries
+    return [
+        {
+            "step_index": snap.step_index,
+            "kind": snap.pulse.kind.value,
+            "ion": snap.pulse.ion,
+            "label": snap.label,
+            "amplitudes": _amplitude_triples(snap.state, full),
+        }
+        for snap in snapshots
+    ]
 
 
 def _estimate_block(seq: PulseSequence, per_pulse_fidelity: float) -> dict[str, Any]:

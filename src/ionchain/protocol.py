@@ -142,7 +142,7 @@ def run(
         try:
             state = apply_pulse(state, step)
         except (TruncationError, ValidationError) as err:
-            where = f"step {i} ({label or step.kind.value} on ion {step.ion})"
+            where = f"step {i} ({label or f'{step.kind.value} on ion {step.ion}'})"
             raise prefixed(err, where, step_index=i) from err
         if record_snapshots:
             snapshots.append(Snapshot(i, step, state, label))

@@ -18,6 +18,8 @@ write amplitudes through that view.
 
 from __future__ import annotations
 
+import functools
+import itertools
 import math
 import numbers
 import reprlib
@@ -157,9 +159,23 @@ def basis_index(state: RegisterState, levels: Sequence[IonLevel], n: int) -> int
 def basis_label(state: RegisterState, index: int) -> str:
     """Human-readable label like ``"g e g;1"`` for a flat amplitude index."""
     index = require_int(index, "index", 0, state.dim - 1)
-    shape = basis_shape(state.n_ions, state.n_max)
-    *digits, n = map(int, np.unravel_index(index, shape))
-    return " ".join(LEVEL_NAMES[d] for d in digits) + f";{n}"
+    return basis_labels(state.n_ions, state.n_max, [index])[0]
+
+
+def basis_labels(n_ions: int, n_max: int, indices: Sequence[int] | np.ndarray) -> list[str]:
+    """``basis_label`` of each index: two cached word-table lookups and the phonon number."""
+    hi, lo = _word_tables(n_ions)
+    ions, n = np.divmod(np.asarray(indices, dtype=np.int64), n_max + 1)
+    a, b = np.divmod(ions, len(lo))
+    return [f"{hi[i]}{lo[j]};{k}" for i, j, k in zip(a.tolist(), b.tolist(), n.tolist())]
+
+
+@functools.lru_cache(maxsize=None)
+def _word_tables(n_ions: int) -> tuple[tuple[str, ...], tuple[str, ...]]:
+    """Level words of the first ``n_ions // 2`` ions (``"g e "``) and of the rest (``"g e"``)."""
+    hi, lo = (tuple(" ".join(word) for word in itertools.product(LEVEL_NAMES.values(), repeat=k))
+              for k in (n_ions // 2, n_ions - n_ions // 2))
+    return tuple(f"{word} " if word else "" for word in hi), lo
 
 
 def require_int(value, what: str, low: int, high: int | None = None) -> int:

@@ -3,7 +3,8 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from ionchain import RegisterState
+from ionchain import IonLevel, RegisterState
+from ionchain.register import LEVEL_NAMES
 
 
 def make_random_state(
@@ -38,6 +39,16 @@ def permute_other_ions(state: RegisterState, perm: list[int]) -> RegisterState:
     return RegisterState(
         state.n_ions, state.n_max, np.transpose(shaped, axes).reshape(-1)
     )
+
+
+def oracle_basis_label(n_ions: int, n_max: int, index: int) -> str:
+    """Label of a flat amplitude index, by base-3 ``divmod`` on one index."""
+    digits, n = divmod(index, n_max + 1)
+    names = []
+    for _ in range(n_ions):
+        digits, d = divmod(digits, 3)
+        names.append(LEVEL_NAMES[IonLevel(d)])
+    return " ".join(reversed(names)) + f";{n}"
 
 
 @pytest.fixture

@@ -17,6 +17,7 @@ from ionchain.cli import (
     sequence_from_document,
     sequence_to_document,
 )
+from conftest import oracle_basis_label
 
 
 def run_cli(capsys, *argv):
@@ -76,6 +77,11 @@ REPEATED = {
     "steps": _CHAIN2_TEXT[:-1] + ', "steps": []}',
     "theta": _CHAIN2_TEXT.replace('"theta": ', '"theta": 0.0, "theta": ', 1),
     "re": _CHAIN2_TEXT.replace('"re": ', '"re": 0.0, "re": ', 1),
+}
+REPEATED_WHERE = {
+    "steps": "sequence document",
+    "theta": "step 1",
+    "re": "ion 1 preparation term",
 }
 
 # Command lines argparse refuses: each used to print a usage block or a
@@ -332,7 +338,7 @@ class TestRun:
         path.write_text(text)
         code, out, err = run_cli(capsys, "run", "--sequence", str(path))
         assert (code, out) == (2, "")
-        assert err == f"error: sequence file {path}: repeated field {name!r}\n"
+        assert err == f"error: repeated field {name!r} in {REPEATED_WHERE[name]}\n"
 
     def test_well_typed_variants_still_run(self, capsys, tmp_path):
         # Integer numbers and a present string label are the strict types.
@@ -457,6 +463,9 @@ class TestNoise:
         assert err.startswith("truncation: ") and err.count("\n") == 1
         assert err.count("trial 0") == 1
         assert err.count("step 17") == 1
+        # The step's label, then the pulse error, which names the ion once.
+        assert "step 17 (load ion 10 into the bus): sideband pulse on ion 10 " in err
+        assert err.count("ion 10") == 2
 
     @pytest.mark.parametrize("sigma", ["nan", "inf"])
     def test_non_finite_sigma_exits_2(self, capsys, sigma):
@@ -479,19 +488,27 @@ class TestNoise:
 
 
 def old_amplitude_triples(state, full):
-    """The per-amplitude loop the report builder used to run, as the oracle."""
+    """The per-amplitude loop the report builder used to run, as the oracle.
+
+    Labels come from the base-3 oracle, not from the codec under test.
+    """
     triples = []
     for index, amp in enumerate(state.amplitudes):
         if full or abs(amp) > cli.REPORT_AMPLITUDE_FLOOR:
-            triples.append([register.basis_label(state, index), float(amp.real),
-                            float(amp.imag)])
+            label = oracle_basis_label(state.n_ions, state.n_max, index)
+            triples.append([label, float(amp.real), float(amp.imag)])
     return triples
 
 
-@pytest.mark.parametrize("seed", range(4))
-def test_amplitude_triples_match_the_loop_at_the_floor(seed):
+# One ion leaves the first word table empty; odd chains split unevenly.
+# Three ions keep the bare seed as their id, so those test ids stay stable.
+@pytest.mark.parametrize("seed, n_ions", [
+    pytest.param(seed, n_ions, id=str(seed) if n_ions == 3 else f"{seed}-{n_ions}ions")
+    for n_ions in (3, 1, 2, 5) for seed in range(4)
+])
+def test_amplitude_triples_match_the_loop_at_the_floor(seed, n_ions):
     rng = np.random.default_rng(seed)
-    n_ions, n_max = 3, 2
+    n_max = 2
     dim = 3**n_ions * (n_max + 1)
     # Magnitudes a few ulps either side of the floor, then +0.0, -0.0 and 1.
     ulps = rng.integers(-4, 5, size=dim)

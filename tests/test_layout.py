@@ -1,7 +1,7 @@
 """The dense basis layout and its buffer.
 
 The reads (populations, leakages, labels, indices, the reference state) are
-checked bitwise against an in-test copy of an independent formulation: axis
+checked bitwise against an independent formulation written in the tests: axis
 gathers with ``np.take``/``np.ix_`` and hand-written base-3 codecs.  The
 ownership tests pin when a ``RegisterState`` copies its amplitudes and when
 it adopts them.
@@ -28,8 +28,9 @@ from ionchain import (
     population,
     reference_cluster,
 )
-from ionchain import pulse, verify
-from ionchain.register import LEVEL_NAMES, LEVELS_BY_NAME, IonPrep
+from ionchain import pulse, register, verify
+from ionchain.register import LEVELS_BY_NAME, IonPrep
+from conftest import oracle_basis_label
 
 
 # ---------------------------------------------------------------------------
@@ -65,15 +66,6 @@ def oracle_basis_index(n_max, levels, n):
     for level in levels:
         digits = digits * 3 + level
     return digits * (n_max + 1) + n
-
-
-def oracle_basis_label(n_ions, n_max, index):
-    digits, n = divmod(index, n_max + 1)
-    names = []
-    for _ in range(n_ions):
-        digits, d = divmod(digits, 3)
-        names.append(LEVEL_NAMES[IonLevel(d)])
-    return " ".join(reversed(names)) + f";{n}"
 
 
 def oracle_reference_amplitudes(n_qubits, n_max):
@@ -139,6 +131,30 @@ def test_index_codecs_match_the_base_3_oracle(n_ions, n_max):
         levels = [LEVELS_BY_NAME[name] for name in names.split()]
         assert basis_index(state, levels, int(n)) == index
         assert oracle_basis_index(n_max, levels, int(n)) == index
+
+
+@pytest.mark.parametrize("n_ions, n_max", LAYOUTS)
+def test_label_codec_matches_the_oracle_at_every_index(n_ions, n_max):
+    state = reference_cluster(n_ions, n_max)
+    labels = register.basis_labels(n_ions, n_max, np.arange(state.dim))
+    assert labels == [oracle_basis_label(n_ions, n_max, i) for i in range(state.dim)]
+    assert labels == [basis_label(state, i) for i in range(state.dim)]
+
+
+@pytest.mark.parametrize("n_ions, n_max", [(12, 2), (14, 1)])
+def test_label_codec_matches_the_oracle_on_long_chains(n_ions, n_max):
+    dim = 3**n_ions * (n_max + 1)
+    indices = np.random.default_rng(n_ions).choice(dim, size=1000, replace=False)
+    want = [oracle_basis_label(n_ions, n_max, int(i)) for i in indices]
+    assert register.basis_labels(n_ions, n_max, indices) == want
+
+
+def test_label_codec_reads_a_deep_mode():
+    # The word tables are sized by the ions only: this mode has 100,001 levels.
+    n_max = 100_000
+    labels = register.basis_labels(1, n_max, np.arange(3 * (n_max + 1)))
+    assert labels == [oracle_basis_label(1, n_max, i) for i in range(3 * (n_max + 1))]
+    assert labels[-1] == "eprime;100000"
 
 
 @pytest.mark.parametrize("n_ions, n_max", LAYOUTS)

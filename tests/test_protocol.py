@@ -106,6 +106,20 @@ class TestRunner:
             run(seq, n_max=1)
         assert excinfo.value.step_index == 3
 
+    def test_labelled_step_is_named_by_its_label_alone(self):
+        # The pulse error body names the ion, so the prefix does not repeat it.
+        from ionchain import carrier, map_ion_to_mode
+
+        steps = (map_ion_to_mode(1), carrier(1, math.pi, 0.0), half_sideband(1))
+        labels = ("load ion 1", "re-excite ion 1", "split ion 1")
+        seq = PulseSequence((IonPrep.basis(IonLevel.E),), steps, labels)
+        with pytest.raises(TruncationError) as excinfo:
+            run(seq, n_max=1)
+        assert str(excinfo.value).startswith(
+            "step 3 (split ion 1): sideband pulse on ion 1 would couple"
+        )
+        assert str(excinfo.value).count("ion 1") == 2
+
     def test_overflowing_area_reports_step_index(self):
         from ionchain import Pulse
 

@@ -13,8 +13,9 @@ The sequence file is emitted to the fixed relative name ``cluster6.json`` in
 that directory, so the ``run --sequence`` report (which names its file)
 hashes the same for every tree; ``hot.json`` is a one-ion program whose
 third step leaks past ``--n-max 1``, ``one.json`` one whose only area
-overflows its rotation angle at ``--n-max 5``, and ``twice.json`` one that
-repeats its ``steps`` field.  Comparing two trees is then one
+overflows its rotation angle at ``--n-max 5``, ``twice.json`` one that
+repeats its ``steps`` field, and ``theta.json`` one whose step repeats its
+``theta`` field.  Comparing two trees is then one
 ``diff`` of two outputs.  A command that exits with another code stops the
 tool with its exit code and stderr.
 """
@@ -57,6 +58,7 @@ FAILURES = [
     (2, ["noise", "--protocol", "cluster6", "--jitter-sigma", "1e308", "--trials", "3",
          "--n-max", "4"]),
     (2, ["run", "--sequence", "twice.json"]),
+    (2, ["run", "--sequence", "theta.json"]),
 ]
 
 HOT_SEQUENCE = {
@@ -75,11 +77,17 @@ ONE_SEQUENCE = {
     "steps": [{"kind": "sideband_ge", "ion": 1, "phi": 0.0, "theta": 1.7e308}],
 }
 
-# Raw text: ``json.dump`` cannot write a repeated key.
-TWICE_TEXT = (
-    '{"version": "1", "ions": [[{"level": "g", "re": 1.0, "im": 0.0}]], '
-    '"steps": [{"kind": "carrier", "ion": 1, "phi": 0.0, "theta": 1.0}], "steps": []}'
-)
+# Raw texts: ``json.dump`` cannot write a repeated key.
+RAW_TEXTS = {
+    "twice.json": (
+        '{"version": "1", "ions": [[{"level": "g", "re": 1.0, "im": 0.0}]], '
+        '"steps": [{"kind": "carrier", "ion": 1, "phi": 0.0, "theta": 1.0}], "steps": []}'
+    ),
+    "theta.json": (
+        '{"version": "1", "ions": [[{"level": "g", "re": 1.0, "im": 0.0}]], '
+        '"steps": [{"kind": "carrier", "ion": 1, "phi": 0.0, "theta": 1.0, "theta": 2.0}]}'
+    ),
+}
 
 
 def main(argv: list[str]) -> int:
@@ -91,8 +99,9 @@ def main(argv: list[str]) -> int:
         for name, doc in (("hot.json", HOT_SEQUENCE), ("one.json", ONE_SEQUENCE)):
             with open(os.path.join(cwd, name), "w", encoding="utf-8") as fh:
                 json.dump(doc, fh)
-        with open(os.path.join(cwd, "twice.json"), "w", encoding="utf-8") as fh:
-            fh.write(TWICE_TEXT)
+        for name, text in RAW_TEXTS.items():
+            with open(os.path.join(cwd, name), "w", encoding="utf-8") as fh:
+                fh.write(text)
         for code, args in [(0, args) for args in COMMANDS] + FAILURES:
             proc = subprocess.run(
                 [sys.executable, "-m", "ionchain.cli", *args],
