@@ -14,9 +14,7 @@ from .protocol import PulseSequence, Snapshot, chain_sequence, cluster6_sequence
 from .pulse import (
     Pulse,
     PulseKind,
-    apply_carrier,
     apply_pulse,
-    apply_sideband,
     carrier,
     half_sideband,
     map_ion_to_mode,
@@ -27,14 +25,12 @@ from .register import (
     IonLevel,
     IonPrep,
     RegisterState,
-    basis_index,
     basis_label,
     global_phase_alignment,
     inner_product,
     mode_population,
     new_register,
     population,
-    states_allclose,
 )
 from .verify import (
     VerificationReport,
@@ -62,10 +58,7 @@ __all__ = [
     "TruncationError",
     "ValidationError",
     "VerificationReport",
-    "apply_carrier",
     "apply_pulse",
-    "apply_sideband",
-    "basis_index",
     "basis_label",
     "carrier",
     "chain_sequence",
@@ -88,6 +81,5 @@ __all__ = [
     "reference_signature",
     "run",
     "stabilizer_expectations",
-    "states_allclose",
     "verify_run",
 ]

@@ -301,10 +301,11 @@ def _select_sequence(args: argparse.Namespace) -> tuple[PulseSequence, str]:
 
 
 def _check_out(out: str | None) -> None:
-    """Refuse, before any work, an ``--out`` that names no file or lacks its directory.
+    """Refuse, before any work, an ``--out`` with no file name or an unusable directory.
 
     The file itself is opened only once the report is built, so a run that
-    fails leaves an existing file untouched.
+    fails leaves an existing file untouched; the directory can still change
+    before then, so ``_emit`` keeps its own ``OSError`` check.
     """
     if out is None or out == "-":
         return
@@ -313,6 +314,8 @@ def _check_out(out: str | None) -> None:
     parent = os.path.dirname(out) or "."
     if not os.path.isdir(parent):
         raise ValidationError(f"--out {out!r}: no directory {parent!r}")
+    if not os.access(parent, os.W_OK):
+        raise ValidationError(f"--out {out!r}: directory {parent!r} is not writable")
 
 
 def _emit(doc: dict[str, Any], out: str | None) -> None:

@@ -79,10 +79,6 @@ class Pulse:
         object.__setattr__(self, "phi", require_real(self.phi, "pulse parameters"))
         object.__setattr__(self, "theta", require_real(self.theta, "pulse parameters"))
 
-    def inverse(self) -> "Pulse":
-        """Same pulse run backwards (theta negated)."""
-        return Pulse(self.kind, self.ion, self.phi, -self.theta)
-
 
 def coupled_pairs(block: np.ndarray, pulse: Pulse, n_max: int):
     """Views (a, b, top) of ``block``: the pairs ``pulse`` rotates, Fock row last.
@@ -154,33 +150,6 @@ def apply_pulse(state: RegisterState, pulse: Pulse) -> RegisterState:
     rotate_pairs(a, b, c, s, pulse.phi, out_a, out_b)
     out.setflags(write=False)
     return RegisterState(state.n_ions, state.n_max, out)
-
-
-def apply_sideband(
-    state: RegisterState,
-    ion: int,
-    kind: PulseKind,
-    phi: float,
-    theta: float,
-) -> RegisterState:
-    """Red-sideband pulse of ``kind`` (SIDEBAND_GE or SIDEBAND_GEPRIME) on ``ion``.
-
-    ``ion`` is 1-based; phi and theta are the laser phase and pulse area in
-    radians.  Runs as ``apply_pulse``, TruncationError included.
-    """
-    if kind not in SIDEBAND_KINDS:
-        raise ValidationError(f"{kind} is not a sideband pulse kind")
-    return apply_pulse(state, Pulse(kind, ion, phi, theta))
-
-
-def apply_carrier(
-    state: RegisterState,
-    ion: int,
-    theta_c: float,
-    phi_c: float,
-) -> RegisterState:
-    """Rotate the g-e pair of one ion, leaving e' and every Fock level alone."""
-    return apply_pulse(state, Pulse(PulseKind.CARRIER, ion, phi_c, theta_c))
 
 
 # ---------------------------------------------------------------------------

@@ -145,17 +145,6 @@ class RegisterState:
         )
 
 
-def basis_index(state: RegisterState, levels: Sequence[IonLevel], n: int) -> int:
-    """Flat amplitude index of the basis ket with the given levels and phonon number."""
-    if len(levels) != state.n_ions:
-        raise ValidationError(
-            f"expected {state.n_ions} levels, got {len(levels)}"
-        )
-    n = require_int(n, "phonon number", 0, state.n_max)
-    digits = [require_int(level, "level", 0, 2) for level in levels]
-    return int(np.ravel_multi_index((*digits, n), basis_shape(state.n_ions, state.n_max)))
-
-
 def basis_label(state: RegisterState, index: int) -> str:
     """Human-readable label like ``"g e g;1"`` for a flat amplitude index."""
     index = require_int(index, "index", 0, state.dim - 1)
@@ -308,17 +297,3 @@ def global_phase_alignment(reference: RegisterState, state: RegisterState) -> co
             return 1.0 + 0.0j
         return complex(overlap / abs(overlap))
     return complex(ratio / abs(ratio))
-
-
-def states_allclose(
-    a: RegisterState,
-    b: RegisterState,
-    atol: float = 1e-10,
-    up_to_global_phase: bool = False,
-) -> bool:
-    """Amplitude-wise comparison, optionally after aligning the global phase of ``b``."""
-    _check_same_space(a, b)
-    bv = b.amplitudes
-    if up_to_global_phase:
-        bv = bv * global_phase_alignment(b, a)
-    return bool(np.max(np.abs(a.amplitudes - bv)) <= atol)

@@ -3,7 +3,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from ionchain import IonLevel, RegisterState
+from ionchain import IonLevel, RegisterState, global_phase_alignment
 from ionchain.register import LEVEL_NAMES
 
 
@@ -49,6 +49,40 @@ def oracle_basis_label(n_ions: int, n_max: int, index: int) -> str:
         digits, d = divmod(digits, 3)
         names.append(LEVEL_NAMES[IonLevel(d)])
     return " ".join(reversed(names)) + f";{n}"
+
+
+def oracle_basis_index(n_max: int, levels, n: int) -> int:
+    """Flat amplitude index of |levels; n>, by a base-3 digit loop, ion 1 first."""
+    digits = 0
+    for level in levels:
+        digits = digits * 3 + level
+    return digits * (n_max + 1) + n
+
+
+def ket(levels, n: int, n_max: int) -> RegisterState:
+    """The basis state |levels; n> at cutoff ``n_max``."""
+    amps = np.zeros(3 ** len(levels) * (n_max + 1), dtype=np.complex128)
+    amps[oracle_basis_index(n_max, levels, n)] = 1.0
+    return RegisterState(len(levels), n_max, amps)
+
+
+def amp(state: RegisterState, levels, n: int) -> complex:
+    """Amplitude of |levels; n> in ``state``."""
+    return state.amplitudes[oracle_basis_index(state.n_max, levels, n)]
+
+
+def states_allclose(
+    a: RegisterState,
+    b: RegisterState,
+    atol: float = 1e-10,
+    up_to_global_phase: bool = False,
+) -> bool:
+    """Amplitude-wise comparison, optionally after aligning the global phase of ``b``."""
+    assert (a.n_ions, a.n_max) == (b.n_ions, b.n_max)
+    bv = b.amplitudes
+    if up_to_global_phase:
+        bv = bv * global_phase_alignment(b, a)
+    return bool(np.max(np.abs(a.amplitudes - bv)) <= atol)
 
 
 @pytest.fixture

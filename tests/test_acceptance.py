@@ -15,7 +15,7 @@ import pytest
 
 import ionchain as ic
 from ionchain.cli import build_noise_report, build_run_report, main
-from conftest import make_random_state
+from conftest import amp, ket, make_random_state
 from step_fixtures import expected_states
 
 
@@ -64,26 +64,17 @@ def test_criterion_3_per_pulse_fidelity_arithmetic():
 
 
 def test_criterion_4_gadget_table():
-    def ket(level, n, n_max=2):
-        state = ic.new_register([ic.IonPrep.basis(ic.IonLevel.G)], n_max)
-        amps = np.zeros(state.dim, dtype=np.complex128)
-        amps[ic.basis_index(state, [level], n)] = 1.0
-        return ic.RegisterState(1, n_max, amps)
-
-    def amp(state, level, n):
-        return state.amplitudes[ic.basis_index(state, [level], n)]
-
     errors = []
     inv = 1.0 / math.sqrt(2.0)
-    out = ic.apply_pulse(ket(ic.IonLevel.E, 0), ic.half_sideband(1))
-    errors.append(abs(amp(out, ic.IonLevel.E, 0) - inv))
-    errors.append(abs(amp(out, ic.IonLevel.G, 1) - inv))
-    out = ic.apply_pulse(ket(ic.IonLevel.G, 1), ic.map_mode_to_ion(1))
-    errors.append(abs(amp(out, ic.IonLevel.E, 0) - 1.0))
-    out = ic.apply_pulse(ket(ic.IonLevel.E, 0), ic.map_ion_to_mode(1))
-    errors.append(abs(amp(out, ic.IonLevel.G, 1) - 1.0))
-    out = ic.apply_pulse(ket(ic.IonLevel.G, 1), ic.phase_gate(1))
-    errors.append(abs(amp(out, ic.IonLevel.G, 1) + 1.0))
+    out = ic.apply_pulse(ket([ic.IonLevel.E], 0, 2), ic.half_sideband(1))
+    errors.append(abs(amp(out, [ic.IonLevel.E], 0) - inv))
+    errors.append(abs(amp(out, [ic.IonLevel.G], 1) - inv))
+    out = ic.apply_pulse(ket([ic.IonLevel.G], 1, 2), ic.map_mode_to_ion(1))
+    errors.append(abs(amp(out, [ic.IonLevel.E], 0) - 1.0))
+    out = ic.apply_pulse(ket([ic.IonLevel.E], 0, 2), ic.map_ion_to_mode(1))
+    errors.append(abs(amp(out, [ic.IonLevel.G], 1) - 1.0))
+    out = ic.apply_pulse(ket([ic.IonLevel.G], 1, 2), ic.phase_gate(1))
+    errors.append(abs(amp(out, [ic.IonLevel.G], 1) + 1.0))
     errors.append(ic.population(out, 1, ic.IonLevel.EPRIME))
     worst = max(errors)
     report(4, worst < 1e-12, f"four gadget transformations, worst error {worst:.3e}")
@@ -114,9 +105,9 @@ def test_criterion_5_property_suite():
         theta = float(rng.uniform(-2 * math.pi, 2 * math.pi))
         state = make_random_state(rng, n_ions, n_max, zero_top=[(ion, x_level)])
 
-        there = ic.apply_sideband(state, ion, kind, phi, theta)
+        there = ic.apply_pulse(state, ic.Pulse(kind, ion, phi, theta))
         worst_norm = max(worst_norm, abs(there.norm() - 1.0))
-        back = ic.apply_sideband(there, ion, kind, phi, -theta)
+        back = ic.apply_pulse(there, ic.Pulse(kind, ion, phi, -theta))
         worst_inverse = max(
             worst_inverse, float(np.max(np.abs(back.amplitudes - state.amplitudes)))
         )

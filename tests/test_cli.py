@@ -572,6 +572,23 @@ class TestOut:
         assert (code, out) == (2, "")
         assert err == f"error: --out {path!r} does not name a file\n"
 
+    @pytest.mark.parametrize("command", [
+        ["emit", "--protocol", "cluster6"],
+        ["run", "--protocol", "chain:10"],
+        ["noise", "--protocol", "cluster6", "--trials", "2"],
+    ])
+    def test_unwritable_directory_exits_2(self, capsys, tmp_path, monkeypatch, no_run, command):
+        # Patched, since a chmod shows nothing to a suite run as root.
+        real_access = os.access
+        monkeypatch.setattr(
+            cli.os, "access", lambda path, mode: mode != os.W_OK and real_access(path, mode)
+        )
+        path = str(tmp_path / "x.json")
+        code, out, err = run_cli(capsys, *command, "--out", path)
+        assert (code, out) == (2, "")
+        assert err == f"error: --out {path!r}: directory {str(tmp_path)!r} is not writable\n"
+        assert not os.path.exists(path)
+
     def test_write_error_exits_2(self, capsys, tmp_path, monkeypatch):
         def refuse(*args, **kwargs):
             raise PermissionError(13, "Permission denied")

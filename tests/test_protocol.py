@@ -22,8 +22,8 @@ from ionchain import (
     population,
     reference_cluster,
     run,
-    states_allclose,
 )
+from conftest import states_allclose
 from step_fixtures import expected_states
 
 
@@ -73,6 +73,13 @@ class TestSequenceStructure:
             PulseSequence(
                 (IonPrep.basis(IonLevel.G),), (half_sideband(2),)
             )
+
+    @pytest.mark.parametrize("labels", [("one",), ("one", "two", "three")])
+    def test_sequence_rejects_a_label_count_unlike_the_step_count(self, labels):
+        preps = (IonPrep.basis(IonLevel.E),)
+        steps = (half_sideband(1), half_sideband(1))
+        with pytest.raises(ValidationError, match=f"{len(labels)} labels for 2 steps"):
+            PulseSequence(preps, steps, labels)
 
 
 class TestRunner:

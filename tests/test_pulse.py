@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import dataclasses
 import math
 import warnings
 
@@ -15,119 +16,102 @@ from ionchain import (
     RegisterState,
     TruncationError,
     ValidationError,
-    apply_carrier,
     apply_pulse,
-    apply_sideband,
-    basis_index,
     half_sideband,
     map_ion_to_mode,
     map_mode_to_ion,
-    new_register,
     phase_gate,
     population,
     run,
 )
-from conftest import make_random_state, permute_other_ions
+from conftest import amp, ket, make_random_state, oracle_basis_index, permute_other_ions
 
 INV_SQRT2 = 1.0 / math.sqrt(2.0)
-
-
-def single_ion_ket(level, n, n_max=2):
-    state = new_register([IonPrep.basis(IonLevel.G)], n_max)
-    amps = np.zeros(state.dim, dtype=np.complex128)
-    amps[basis_index(state, [level], n)] = 1.0
-    return RegisterState(1, n_max, amps)
-
-
-def amp(state, levels, n):
-    return state.amplitudes[basis_index(state, levels, n)]
 
 
 class TestSidebandMap:
     def test_half_pulse_splits_excited_ion(self):
         # |e,0> with phi=pi, theta=pi/2 -> (|e,0> + |g,1>)/sqrt2
-        state = single_ion_ket(IonLevel.E, 0)
-        out = apply_sideband(state, 1, PulseKind.SIDEBAND_GE, math.pi, math.pi / 2)
+        state = ket([IonLevel.E], 0, 2)
+        out = apply_pulse(state, Pulse(PulseKind.SIDEBAND_GE, 1, math.pi, math.pi / 2))
         assert amp(out, [IonLevel.E], 0) == pytest.approx(INV_SQRT2, abs=1e-12)
         assert amp(out, [IonLevel.G], 1) == pytest.approx(INV_SQRT2, abs=1e-12)
         assert out.norm() == pytest.approx(1.0, abs=1e-12)
 
     def test_full_loop_through_eprime_flips_g1(self):
         # |g,1> under a 2*pi g-e' pulse -> -|g,1> with no e' residue.
-        state = single_ion_ket(IonLevel.G, 1)
-        out = apply_sideband(state, 1, PulseKind.SIDEBAND_GEPRIME, 0.37, 2 * math.pi)
+        state = ket([IonLevel.G], 1, 2)
+        out = apply_pulse(state, Pulse(PulseKind.SIDEBAND_GEPRIME, 1, 0.37, 2 * math.pi))
         assert amp(out, [IonLevel.G], 1) == pytest.approx(-1.0, abs=1e-12)
         assert population(out, 1, IonLevel.EPRIME) <= 1e-12
 
     def test_zero_area_is_identity(self, rng):
         state = make_random_state(rng, 2, 2, zero_top=[(1, IonLevel.E)])
-        out = apply_sideband(state, 1, PulseKind.SIDEBAND_GE, 1.3, 0.0)
+        out = apply_pulse(state, Pulse(PulseKind.SIDEBAND_GE, 1, 1.3, 0.0))
         assert np.allclose(out.amplitudes, state.amplitudes, atol=1e-15)
 
     def test_non_addressed_excited_level_is_dark(self):
         # |e,n> untouched by a g-e' sideband, any parameters.
         for n in (0, 1, 2):
-            state = single_ion_ket(IonLevel.E, n)
-            out = apply_sideband(state, 1, PulseKind.SIDEBAND_GEPRIME, 0.9, 2.1)
+            state = ket([IonLevel.E], n, 2)
+            out = apply_pulse(state, Pulse(PulseKind.SIDEBAND_GEPRIME, 1, 0.9, 2.1))
             assert np.array_equal(out.amplitudes, state.amplitudes)
 
     def test_negated_area_inverts(self, rng):
         state = make_random_state(rng, 2, 2, zero_top=[(2, IonLevel.E)])
-        there = apply_sideband(state, 2, PulseKind.SIDEBAND_GE, 0.7, 1.9)
-        back = apply_sideband(there, 2, PulseKind.SIDEBAND_GE, 0.7, -1.9)
+        there = apply_pulse(state, Pulse(PulseKind.SIDEBAND_GE, 2, 0.7, 1.9))
+        back = apply_pulse(there, Pulse(PulseKind.SIDEBAND_GE, 2, 0.7, -1.9))
         assert np.max(np.abs(back.amplitudes - state.amplitudes)) < 1e-12
 
     def test_rejects_bad_arguments(self, rng):
         state = make_random_state(rng, 2, 2)
         with pytest.raises(ValidationError):
-            apply_sideband(state, 3, PulseKind.SIDEBAND_GE, 0.0, 1.0)
-        with pytest.raises(ValidationError):
-            apply_sideband(state, 1, PulseKind.CARRIER, 0.0, 1.0)
+            apply_pulse(state, Pulse(PulseKind.SIDEBAND_GE, 3, 0.0, 1.0))
         for phi, theta in [(0.0, math.nan), (math.inf, 1.0)]:
             with pytest.raises(ValidationError, match="finite"):
-                apply_sideband(state, 1, PulseKind.SIDEBAND_GE, phi, theta)
+                apply_pulse(state, Pulse(PulseKind.SIDEBAND_GE, 1, phi, theta))
 
 
 class TestCarrierMap:
     def test_rotates_excited_to_plus(self):
-        state = single_ion_ket(IonLevel.E, 0)
-        out = apply_carrier(state, 1, math.pi / 2, 0.0)
+        state = ket([IonLevel.E], 0, 2)
+        out = apply_pulse(state, Pulse(PulseKind.CARRIER, 1, 0.0, math.pi / 2))
         assert amp(out, [IonLevel.E], 0) == pytest.approx(INV_SQRT2, abs=1e-12)
         assert amp(out, [IonLevel.G], 0) == pytest.approx(INV_SQRT2, abs=1e-12)
 
     def test_rotates_ground_to_minus(self):
-        state = single_ion_ket(IonLevel.G, 0)
-        out = apply_carrier(state, 1, math.pi / 2, 0.0)
+        state = ket([IonLevel.G], 0, 2)
+        out = apply_pulse(state, Pulse(PulseKind.CARRIER, 1, 0.0, math.pi / 2))
         assert amp(out, [IonLevel.G], 0) == pytest.approx(INV_SQRT2, abs=1e-12)
         assert amp(out, [IonLevel.E], 0) == pytest.approx(-INV_SQRT2, abs=1e-12)
 
     def test_zero_angle_is_identity(self, rng):
         state = make_random_state(rng, 2, 2)
-        out = apply_carrier(state, 1, 0.0, 0.4)
+        out = apply_pulse(state, Pulse(PulseKind.CARRIER, 1, 0.4, 0.0))
         assert np.allclose(out.amplitudes, state.amplitudes, atol=1e-15)
 
     def test_fock_levels_untouched(self):
         # Same rotation on every phonon number.
         for n in (0, 1, 2):
-            state = single_ion_ket(IonLevel.E, n)
-            out = apply_carrier(state, 1, math.pi / 2, 0.0)
+            state = ket([IonLevel.E], n, 2)
+            out = apply_pulse(state, Pulse(PulseKind.CARRIER, 1, 0.0, math.pi / 2))
             assert amp(out, [IonLevel.E], n) == pytest.approx(INV_SQRT2, abs=1e-12)
             assert amp(out, [IonLevel.G], n) == pytest.approx(INV_SQRT2, abs=1e-12)
 
     def test_eprime_untouched(self):
-        state = single_ion_ket(IonLevel.EPRIME, 1)
-        out = apply_carrier(state, 1, 1.1, 0.3)
+        state = ket([IonLevel.EPRIME], 1, 2)
+        out = apply_pulse(state, Pulse(PulseKind.CARRIER, 1, 0.3, 1.1))
         assert np.array_equal(out.amplitudes, state.amplitudes)
 
     def test_ion_out_of_range(self, rng):
         state = make_random_state(rng, 2, 2)
         with pytest.raises(ValidationError):
-            apply_carrier(state, 0, 1.0, 0.0)
+            apply_pulse(state, Pulse(PulseKind.CARRIER, 0, 0.0, 1.0))
         with pytest.raises(ValidationError):
-            apply_carrier(state, 3, 1.0, 0.0)
+            apply_pulse(state, Pulse(PulseKind.CARRIER, 3, 0.0, 1.0))
         for theta_c, phi_c in [(math.inf, 0.0), (1.0, math.nan)]:
             with pytest.raises(ValidationError, match="finite"):
-                apply_carrier(state, 1, theta_c, phi_c)
+                apply_pulse(state, Pulse(PulseKind.CARRIER, 1, phi_c, theta_c))
 
 
 class TestGadgets:
@@ -138,27 +122,31 @@ class TestGadgets:
         assert phase_gate(3) == Pulse(PulseKind.SIDEBAND_GEPRIME, 3, 0.0, 2 * math.pi)
 
     def test_map_mode_to_ion_action(self):
-        out = apply_pulse(single_ion_ket(IonLevel.G, 1), map_mode_to_ion(1))
+        out = apply_pulse(ket([IonLevel.G], 1, 2), map_mode_to_ion(1))
         assert amp(out, [IonLevel.E], 0) == pytest.approx(1.0, abs=1e-12)
-        still = apply_pulse(single_ion_ket(IonLevel.G, 0), map_mode_to_ion(1))
+        still = apply_pulse(ket([IonLevel.G], 0, 2), map_mode_to_ion(1))
         assert amp(still, [IonLevel.G], 0) == pytest.approx(1.0, abs=1e-12)
 
     def test_map_ion_to_mode_action(self):
-        out = apply_pulse(single_ion_ket(IonLevel.E, 0), map_ion_to_mode(1))
+        out = apply_pulse(ket([IonLevel.E], 0, 2), map_ion_to_mode(1))
         assert amp(out, [IonLevel.G], 1) == pytest.approx(1.0, abs=1e-12)
-        still = apply_pulse(single_ion_ket(IonLevel.G, 0), map_ion_to_mode(1))
+        still = apply_pulse(ket([IonLevel.G], 0, 2), map_ion_to_mode(1))
         assert amp(still, [IonLevel.G], 0) == pytest.approx(1.0, abs=1e-12)
 
     def test_phase_gate_action(self):
-        out = apply_pulse(single_ion_ket(IonLevel.G, 1), phase_gate(1))
+        out = apply_pulse(ket([IonLevel.G], 1, 2), phase_gate(1))
         assert amp(out, [IonLevel.G], 1) == pytest.approx(-1.0, abs=1e-12)
         assert population(out, 1, IonLevel.EPRIME) <= 1e-12
-        still = apply_pulse(single_ion_ket(IonLevel.G, 0), phase_gate(1))
+        still = apply_pulse(ket([IonLevel.G], 0, 2), phase_gate(1))
         assert amp(still, [IonLevel.G], 0) == pytest.approx(1.0, abs=1e-12)
 
-    def test_pulse_inverse_helper(self):
-        pulse = half_sideband(2)
-        assert pulse.inverse().theta == -pulse.theta
+    def test_gadget_undone_by_negated_area(self, rng):
+        state = make_random_state(rng, 2, 2, zero_top=[(2, IonLevel.E), (2, IonLevel.EPRIME)])
+        for gadget in (half_sideband, map_ion_to_mode, map_mode_to_ion, phase_gate):
+            pulse = gadget(2)
+            there = apply_pulse(state, pulse)
+            back = apply_pulse(there, dataclasses.replace(pulse, theta=-pulse.theta))
+            assert np.max(np.abs(back.amplitudes - state.amplitudes)) < 1e-12
 
     def test_pulse_validation(self):
         with pytest.raises(ValidationError):
@@ -180,7 +168,7 @@ class TestOverflowingArea:
     AREA = 1.7e308
 
     def test_apply_pulse_refuses_before_rotating(self):
-        state = single_ion_ket(IonLevel.E, 0, n_max=5)
+        state = ket([IonLevel.E], 0, 5)
         pulse = Pulse(PulseKind.SIDEBAND_GE, 1, 0.0, self.AREA)
         with warnings.catch_warnings():
             warnings.simplefilter("error")
@@ -191,7 +179,7 @@ class TestOverflowingArea:
                 run(seq, n_max=5)
 
     def test_largest_area_that_fits_still_runs(self):
-        state = single_ion_ket(IonLevel.E, 0, n_max=4)
+        state = ket([IonLevel.E], 0, 4)
         out = apply_pulse(state, Pulse(PulseKind.SIDEBAND_GE, 1, 0.0, self.AREA))
         assert np.isfinite(out.amplitudes).all()
 
@@ -212,9 +200,9 @@ class TestUnitarityProperties:
             phi = float(rng.uniform(-math.pi, math.pi))
             theta = float(rng.uniform(-2 * math.pi, 2 * math.pi))
             state = make_random_state(rng, n_ions, n_max, zero_top=[(ion, x_level)])
-            there = apply_sideband(state, ion, kind, phi, theta)
+            there = apply_pulse(state, Pulse(kind, ion, phi, theta))
             assert abs(there.norm() - 1.0) < 1e-12
-            back = apply_sideband(there, ion, kind, phi, -theta)
+            back = apply_pulse(there, Pulse(kind, ion, phi, -theta))
             assert np.max(np.abs(back.amplitudes - state.amplitudes)) < 1e-12
 
     def test_carrier_norm_and_inverse(self, rng):
@@ -222,9 +210,9 @@ class TestUnitarityProperties:
             state = make_random_state(rng, 2, 2)
             theta = float(rng.uniform(-2 * math.pi, 2 * math.pi))
             phi = float(rng.uniform(-math.pi, math.pi))
-            there = apply_carrier(state, 1, theta, phi)
+            there = apply_pulse(state, Pulse(PulseKind.CARRIER, 1, phi, theta))
             assert abs(there.norm() - 1.0) < 1e-12
-            back = apply_carrier(there, 1, -theta, phi)
+            back = apply_pulse(there, Pulse(PulseKind.CARRIER, 1, phi, -theta))
             assert np.max(np.abs(back.amplitudes - state.amplitudes)) < 1e-12
 
 
@@ -250,11 +238,9 @@ class TestExcitationConservation:
         for _ in range(50):
             state = make_random_state(rng, 2, 3, zero_top=[(1, x_level)])
             before = self.eigenspace_probabilities(state, 1, x_level)
-            out = apply_sideband(
-                state, 1, kind,
-                float(rng.uniform(-math.pi, math.pi)),
-                float(rng.uniform(-2 * math.pi, 2 * math.pi)),
-            )
+            phi = float(rng.uniform(-math.pi, math.pi))
+            theta = float(rng.uniform(-2 * math.pi, 2 * math.pi))
+            out = apply_pulse(state, Pulse(kind, 1, phi, theta))
             after = self.eigenspace_probabilities(out, 1, x_level)
             assert np.max(np.abs(after - before)) < 1e-12
 
@@ -264,16 +250,16 @@ class TestDarkLevels:
         for _ in range(50):
             state = make_random_state(rng, 2, 2, zero_top=[(1, IonLevel.E)])
             before = population(state, 1, IonLevel.EPRIME)
-            out = apply_sideband(state, 1, PulseKind.SIDEBAND_GE, 0.4, 1.7)
+            out = apply_pulse(state, Pulse(PulseKind.SIDEBAND_GE, 1, 0.4, 1.7))
             assert abs(population(out, 1, IonLevel.EPRIME) - before) < 1e-12
-            out = apply_carrier(state, 1, 1.2, 0.5)
+            out = apply_pulse(state, Pulse(PulseKind.CARRIER, 1, 0.5, 1.2))
             assert abs(population(out, 1, IonLevel.EPRIME) - before) < 1e-12
 
     def test_e_population_invariant_under_geprime(self, rng):
         for _ in range(50):
             state = make_random_state(rng, 2, 2, zero_top=[(1, IonLevel.EPRIME)])
             before = population(state, 1, IonLevel.E)
-            out = apply_sideband(state, 1, PulseKind.SIDEBAND_GEPRIME, 0.4, 1.7)
+            out = apply_pulse(state, Pulse(PulseKind.SIDEBAND_GEPRIME, 1, 0.4, 1.7))
             assert abs(population(out, 1, IonLevel.E) - before) < 1e-12
 
 
@@ -284,10 +270,10 @@ class TestLocality:
         for _ in range(20):
             state = make_random_state(rng, 3, 2, zero_top=[(1, IonLevel.E)])
             pulse_then_permute = permute_other_ions(
-                apply_sideband(state, 1, PulseKind.SIDEBAND_GE, 0.9, 1.1), perm
+                apply_pulse(state, Pulse(PulseKind.SIDEBAND_GE, 1, 0.9, 1.1)), perm
             )
-            permute_then_pulse = apply_sideband(
-                permute_other_ions(state, perm), 1, PulseKind.SIDEBAND_GE, 0.9, 1.1
+            permute_then_pulse = apply_pulse(
+                permute_other_ions(state, perm), Pulse(PulseKind.SIDEBAND_GE, 1, 0.9, 1.1)
             )
             assert np.max(
                 np.abs(pulse_then_permute.amplitudes - permute_then_pulse.amplitudes)
@@ -296,23 +282,23 @@ class TestLocality:
 
 class TestTruncation:
     def test_refuses_to_leak_past_cutoff(self):
-        state = single_ion_ket(IonLevel.E, 2, n_max=2)
+        state = ket([IonLevel.E], 2, 2)
         with pytest.raises(TruncationError) as excinfo:
-            apply_sideband(state, 1, PulseKind.SIDEBAND_GE, 0.0, 1.0)
+            apply_pulse(state, Pulse(PulseKind.SIDEBAND_GE, 1, 0.0, 1.0))
         assert excinfo.value.leaked_probability == pytest.approx(1.0)
 
     def test_threshold_is_strict(self):
-        base = single_ion_ket(IonLevel.G, 0, n_max=1)
+        base = ket([IonLevel.G], 0, 1)
         amps = np.array(base.amplitudes, copy=True)
-        amps[basis_index(base, [IonLevel.E], 1)] = 2e-6  # probability 4e-12
+        amps[oracle_basis_index(1, [IonLevel.E], 1)] = 2e-6  # probability 4e-12
         amps /= np.linalg.norm(amps)
         state = RegisterState(1, 1, amps)
         with pytest.raises(TruncationError):
-            apply_sideband(state, 1, PulseKind.SIDEBAND_GE, 0.0, 1.0)
+            apply_pulse(state, Pulse(PulseKind.SIDEBAND_GE, 1, 0.0, 1.0))
 
     def test_top_eprime_component_blocks_geprime_only(self):
-        state = single_ion_ket(IonLevel.EPRIME, 2, n_max=2)
+        state = ket([IonLevel.EPRIME], 2, 2)
         with pytest.raises(TruncationError):
-            apply_sideband(state, 1, PulseKind.SIDEBAND_GEPRIME, 0.0, 1.0)
-        out = apply_sideband(state, 1, PulseKind.SIDEBAND_GE, 0.0, 1.0)
+            apply_pulse(state, Pulse(PulseKind.SIDEBAND_GEPRIME, 1, 0.0, 1.0))
+        out = apply_pulse(state, Pulse(PulseKind.SIDEBAND_GE, 1, 0.0, 1.0))
         assert np.array_equal(out.amplitudes, state.amplitudes)

@@ -10,7 +10,6 @@ from ionchain import (
     IonPrep,
     RegisterState,
     ValidationError,
-    basis_index,
     basis_label,
     chain_sequence,
     global_phase_alignment,
@@ -19,33 +18,22 @@ from ionchain import (
     new_register,
     population,
     reference_cluster,
-    states_allclose,
 )
 from ionchain import register
 from ionchain.register import MAX_AMPLITUDES, check_register_size
-from conftest import make_random_state
+from conftest import amp, ket, make_random_state, oracle_basis_index, states_allclose
 
 INV_SQRT2 = 1.0 / math.sqrt(2.0)
-
-
-def ket(levels, n, n_max=1):
-    preps = [IonPrep.basis(level) for level in levels]
-    state = new_register(preps, n_max)
-    amps = np.zeros(state.dim, dtype=np.complex128)
-    amps[basis_index(state, levels, n)] = 1.0
-    return RegisterState(len(levels), n_max, amps)
 
 
 class TestNewRegister:
     def test_single_excited_ion(self):
         state = new_register([IonPrep.basis(IonLevel.E)], n_max=1)
-        expected = np.zeros(6, dtype=np.complex128)
-        expected[basis_index(state, [IonLevel.E], 0)] = 1.0
-        assert np.array_equal(state.amplitudes, expected)
+        assert state == ket([IonLevel.E], 0, 1)
 
     def test_single_ground_ion(self):
         state = new_register([IonPrep.basis(IonLevel.G)], n_max=1)
-        assert state.amplitudes[basis_index(state, [IonLevel.G], 0)] == 1.0
+        assert amp(state, [IonLevel.G], 0) == 1.0
         assert np.count_nonzero(state.amplitudes) == 1
 
     def test_two_ion_product_expanded_by_hand(self):
@@ -60,8 +48,7 @@ class TestNewRegister:
             (IonLevel.E, IonLevel.E): -0.5,
         }
         for (l1, l2), value in expected.items():
-            index = basis_index(state, [l1, l2], 0)
-            assert state.amplitudes[index] == pytest.approx(value, abs=1e-15)
+            assert amp(state, [l1, l2], 0) == pytest.approx(value, abs=1e-15)
         assert state.norm() == pytest.approx(1.0, abs=1e-12)
         assert mode_population(state, 0) == pytest.approx(1.0, abs=1e-12)
 
@@ -132,41 +119,37 @@ class TestInnerProduct:
         assert inner_product(state, state) == pytest.approx(1.0, abs=1e-12)
 
     def test_orthogonal_basis_states(self):
-        a = ket([IonLevel.G], 0)
-        b = ket([IonLevel.E], 0)
+        a = ket([IonLevel.G], 0, 1)
+        b = ket([IonLevel.E], 0, 1)
         assert inner_product(a, b) == 0.0
 
     def test_half_overlap(self):
-        a = ket([IonLevel.E], 0)
-        amps = np.zeros(6, dtype=np.complex128)
-        amps[basis_index(a, [IonLevel.E], 0)] = INV_SQRT2
-        amps[basis_index(a, [IonLevel.G], 1)] = INV_SQRT2
+        a = ket([IonLevel.E], 0, 1)
+        amps = INV_SQRT2 * (a.amplitudes + ket([IonLevel.G], 1, 1).amplitudes)
         b = RegisterState(1, 1, amps)
         assert inner_product(a, b) == pytest.approx(INV_SQRT2, abs=1e-15)
 
     def test_conjugate_linear_in_first_argument(self):
-        a = ket([IonLevel.E], 0)
+        a = ket([IonLevel.E], 0, 1)
         amps = a.amplitudes * 1j
         b = RegisterState(1, 1, amps)
         assert inner_product(b, a) == pytest.approx(-1j, abs=1e-15)
 
     def test_shape_mismatch(self):
         with pytest.raises(ValidationError):
-            inner_product(ket([IonLevel.G], 0, n_max=1), ket([IonLevel.G], 0, n_max=2))
+            inner_product(ket([IonLevel.G], 0, 1), ket([IonLevel.G], 0, 2))
 
 
 class TestPopulations:
     def test_basis_state_population(self):
-        state = ket([IonLevel.E], 0)
+        state = ket([IonLevel.E], 0, 1)
         assert population(state, 1, IonLevel.E) == 1.0
         assert population(state, 1, IonLevel.G) == 0.0
 
     def test_split_state_populations(self):
         # (|e,0> + |g,1>)/sqrt2: half ground, half excited, half one phonon.
-        base = ket([IonLevel.E], 0)
-        amps = np.zeros(6, dtype=np.complex128)
-        amps[basis_index(base, [IonLevel.E], 0)] = INV_SQRT2
-        amps[basis_index(base, [IonLevel.G], 1)] = INV_SQRT2
+        base = ket([IonLevel.E], 0, 1)
+        amps = INV_SQRT2 * (base.amplitudes + ket([IonLevel.G], 1, 1).amplitudes)
         state = RegisterState(1, 1, amps)
         assert population(state, 1, IonLevel.G) == pytest.approx(0.5, abs=1e-15)
         assert mode_population(state, 1) == pytest.approx(0.5, abs=1e-15)
@@ -197,7 +180,8 @@ class TestPopulations:
 class TestIndexing:
     @pytest.mark.parametrize("n_ions,n_max", [(1, 1), (2, 2), (3, 3), (6, 2)])
     def test_encode_decode_roundtrip_exhaustive(self, n_ions, n_max):
-        state = new_register([IonPrep.basis(IonLevel.G)] * n_ions, n_max)
+        # Each amplitude holds its own flat index, so the shaped view reads it back.
+        state = RegisterState(n_ions, n_max, np.arange(3**n_ions * (n_max + 1)))
         seen = set()
         for digits in range(3**n_ions):
             levels = []
@@ -207,7 +191,7 @@ class TestIndexing:
                 levels.append(IonLevel(d))
             levels.reverse()
             for n in range(n_max + 1):
-                index = basis_index(state, levels, n)
+                index = int(state.shaped()[(*levels, n)].real)
                 assert index not in seen
                 seen.add(index)
                 label = basis_label(state, index)
@@ -220,9 +204,15 @@ class TestIndexing:
         assert len(seen) == state.dim
 
     def test_ion_one_is_most_significant(self):
-        state = new_register([IonPrep.basis(IonLevel.G)] * 2, n_max=1)
-        index = basis_index(state, [IonLevel.E, IonLevel.G], 0)
+        state = RegisterState(2, 1, np.arange(18))
+        index = state.shaped()[IonLevel.E, IonLevel.G, 0]
         assert index == 1 * 3 * 2 * 1  # e digit of ion 1 times 3 * (n_max+1)
+        assert index == oracle_basis_index(1, [IonLevel.E, IonLevel.G], 0)
+
+    @pytest.mark.parametrize("shape", [(17,), (19,), (2, 9), ()])
+    def test_rejects_a_vector_of_the_wrong_shape(self, shape):
+        with pytest.raises(ValidationError, match=r"expected \(18,\)"):
+            RegisterState(2, 1, np.zeros(shape, dtype=np.complex128))
 
     def test_amplitudes_are_read_only(self):
         state = new_register([IonPrep.basis(IonLevel.G)], n_max=1)
@@ -242,4 +232,11 @@ class TestPhaseComparison:
 
     def test_exact_comparison(self, rng):
         state = make_random_state(rng, 2, 2)
+        assert state == RegisterState(2, 2, state.amplitudes.copy())
+        assert global_phase_alignment(state, state) == 1.0
         assert states_allclose(state, state, atol=0.0)
+
+    def test_alignment_without_overlap_is_one(self):
+        a = ket([IonLevel.G, IonLevel.E], 0, 1)
+        b = ket([IonLevel.E, IonLevel.G], 1, 1)
+        assert global_phase_alignment(a, b) == 1 + 0j

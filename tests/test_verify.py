@@ -11,7 +11,6 @@ from ionchain import (
     IonPrep,
     RegisterState,
     ValidationError,
-    basis_index,
     chain_sequence,
     cluster6_sequence,
     eprime_leakage,
@@ -24,6 +23,7 @@ from ionchain import (
     stabilizer_expectations,
     verify_run,
 )
+from conftest import amp
 from step_fixtures import expected_states
 
 INV_SQRT2 = 1.0 / math.sqrt(2.0)
@@ -56,12 +56,8 @@ def oracle_expectations(state: RegisterState) -> list[float]:
 class TestReferenceCluster:
     def test_one_qubit_is_uniform_superposition(self):
         ref = reference_cluster(1, n_max=1)
-        assert ref.amplitudes[basis_index(ref, [IonLevel.G], 0)] == pytest.approx(
-            INV_SQRT2
-        )
-        assert ref.amplitudes[basis_index(ref, [IonLevel.E], 0)] == pytest.approx(
-            INV_SQRT2
-        )
+        assert amp(ref, [IonLevel.G], 0) == pytest.approx(INV_SQRT2)
+        assert amp(ref, [IonLevel.E], 0) == pytest.approx(INV_SQRT2)
 
     def test_two_qubit_expansion_by_hand(self):
         # (|gg> - |ge> + |eg> + |ee>)/2, mode empty.
@@ -73,9 +69,7 @@ class TestReferenceCluster:
             (IonLevel.E, IonLevel.E): 0.5,
         }
         for levels, value in signs.items():
-            assert ref.amplitudes[basis_index(ref, list(levels), 0)] == pytest.approx(
-                value
-            )
+            assert amp(ref, levels, 0) == pytest.approx(value)
 
     @pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 6])
     def test_support_and_magnitudes(self, n):
