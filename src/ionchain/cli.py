@@ -301,11 +301,10 @@ def _select_sequence(args: argparse.Namespace) -> tuple[PulseSequence, str]:
 
 
 def _check_out(out: str | None) -> None:
-    """Refuse, before any work, an ``--out`` with no file name or an unusable directory.
+    """Refuse, before any work, an ``--out`` that names no file or cannot be written.
 
     The file itself is opened only once the report is built, so a run that
-    fails leaves an existing file untouched; the directory can still change
-    before then, so ``_emit`` keeps its own ``OSError`` check.
+    fails leaves an existing file untouched; ``_emit`` still reports OSError.
     """
     if out is None or out == "-":
         return
@@ -314,8 +313,10 @@ def _check_out(out: str | None) -> None:
     parent = os.path.dirname(out) or "."
     if not os.path.isdir(parent):
         raise ValidationError(f"--out {out!r}: no directory {parent!r}")
-    if not os.access(parent, os.W_OK):
-        raise ValidationError(f"--out {out!r}: directory {parent!r} is not writable")
+    # Truncating an existing file needs write permission on that file alone.
+    target, mode = (out, os.W_OK) if os.path.exists(out) else (parent, os.W_OK | os.X_OK)
+    if not os.access(target, mode):
+        raise ValidationError(f"--out {out!r}: {target!r} is not writable")
 
 
 def _emit(doc: dict[str, Any], out: str | None) -> None:

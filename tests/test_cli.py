@@ -572,22 +572,50 @@ class TestOut:
         assert (code, out) == (2, "")
         assert err == f"error: --out {path!r} does not name a file\n"
 
+    @staticmethod
+    def refuse_access(monkeypatch, refused_path, refused_bits):
+        # Patched, since a chmod shows nothing to a suite run as root.
+        real_access = os.access
+        monkeypatch.setattr(cli.os, "access", lambda path, mode: (
+            not (str(path) == str(refused_path) and mode & refused_bits)
+            and real_access(path, mode)
+        ))
+
+    @pytest.mark.parametrize("bits", [os.W_OK, os.X_OK], ids=["no-write", "no-search"])
     @pytest.mark.parametrize("command", [
         ["emit", "--protocol", "cluster6"],
         ["run", "--protocol", "chain:10"],
         ["noise", "--protocol", "cluster6", "--trials", "2"],
     ])
-    def test_unwritable_directory_exits_2(self, capsys, tmp_path, monkeypatch, no_run, command):
-        # Patched, since a chmod shows nothing to a suite run as root.
-        real_access = os.access
-        monkeypatch.setattr(
-            cli.os, "access", lambda path, mode: mode != os.W_OK and real_access(path, mode)
-        )
+    def test_unwritable_directory_exits_2(
+        self, capsys, tmp_path, monkeypatch, no_run, command, bits
+    ):
+        self.refuse_access(monkeypatch, tmp_path, bits)
         path = str(tmp_path / "x.json")
         code, out, err = run_cli(capsys, *command, "--out", path)
         assert (code, out) == (2, "")
-        assert err == f"error: --out {path!r}: directory {str(tmp_path)!r} is not writable\n"
+        assert err == f"error: --out {path!r}: {str(tmp_path)!r} is not writable\n"
         assert not os.path.exists(path)
+
+    def test_unwritable_existing_file_exits_2(self, capsys, tmp_path, monkeypatch, no_run):
+        path = tmp_path / "report.json"
+        path.write_text("earlier report\n")
+        self.refuse_access(monkeypatch, path, os.W_OK)
+        code, out, err = run_cli(capsys, "run", "--protocol", "chain:10", "--out", str(path))
+        assert (code, out) == (2, "")
+        assert err == f"error: --out {str(path)!r}: {str(path)!r} is not writable\n"
+        assert path.read_text() == "earlier report\n"
+
+    def test_existing_file_in_unwritable_directory_is_written(
+        self, capsys, tmp_path, monkeypatch
+    ):
+        # Truncating a file, as with /dev/null, needs no write access to its directory.
+        path = tmp_path / "report.json"
+        path.write_text("earlier report\n")
+        self.refuse_access(monkeypatch, tmp_path, os.W_OK | os.X_OK)
+        code, out, err = run_cli(capsys, "emit", "--protocol", "chain:2", "--out", str(path))
+        assert (code, out, err) == (0, "", "")
+        assert path.read_text() == run_cli(capsys, "emit", "--protocol", "chain:2")[1]
 
     def test_write_error_exits_2(self, capsys, tmp_path, monkeypatch):
         def refuse(*args, **kwargs):
