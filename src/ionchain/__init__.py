@@ -10,7 +10,7 @@ estimate and a pulse-area jitter Monte Carlo round out the error side.
 
 from .errors import TruncationError, ValidationError
 from .noise import MonteCarloResult, NoiseConfig, fidelity_estimate, monte_carlo
-from .protocol import PulseSequence, Snapshot, chain_sequence, cluster6_sequence, run
+from .protocol import PulseSequence, chain_sequence, cluster6_sequence, run
 from .pulse import (
     Pulse,
     PulseKind,
@@ -54,7 +54,6 @@ __all__ = [
     "PulseKind",
     "PulseSequence",
     "RegisterState",
-    "Snapshot",
     "TruncationError",
     "ValidationError",
     "VerificationReport",

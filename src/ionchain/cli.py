@@ -23,7 +23,7 @@ import numpy as np
 
 from .errors import TruncationError, ValidationError
 from .noise import NoiseConfig, fidelity_estimate, monte_carlo
-from .protocol import PulseSequence, Snapshot, chain_sequence, cluster6_sequence, run
+from .protocol import PulseSequence, chain_sequence, cluster6_sequence, run
 from .pulse import Pulse, PulseKind
 from .register import (
     LEVEL_NAMES, LEVELS_BY_NAME, IonPrep, RegisterState, basis_labels, require_int,
@@ -188,19 +188,6 @@ def _amplitude_triples(state: RegisterState, full: bool) -> list[list[Any]]:
     return [[s, x, y] for s, x, y in zip(basis_labels(state.n_ions, state.n_max, kept), re, im)]
 
 
-def _snapshot_entries(snapshots: list[Snapshot], full: bool) -> list[dict[str, Any]]:
-    return [
-        {
-            "step_index": snap.step_index,
-            "kind": snap.pulse.kind.value,
-            "ion": snap.pulse.ion,
-            "label": snap.label,
-            "amplitudes": _amplitude_triples(snap.state, full),
-        }
-        for snap in snapshots
-    ]
-
-
 def _estimate_block(seq: PulseSequence, per_pulse_fidelity: float) -> dict[str, Any]:
     return {
         "per_pulse_fidelity": per_pulse_fidelity,
@@ -223,7 +210,11 @@ def build_run_report(
 ) -> dict[str, Any]:
     # Built first, so a bad per-pulse fidelity is refused before simulating.
     estimate = _estimate_block(seq, per_pulse_fidelity)
-    final, snapshots = run(seq, n_max=n_max, record_snapshots=want_snapshots)
+    # Each state becomes its triples as the run goes, so none outlives its step.
+    final, step_triples = run(
+        seq, n_max=n_max,
+        snapshot=(lambda state: _amplitude_triples(state, full)) if want_snapshots else None,
+    )
     report_fields = verify_run(final, seq.n_ions)
     doc: dict[str, Any] = {
         "version": SEQUENCE_FILE_VERSION,
@@ -247,7 +238,12 @@ def build_run_report(
         "fidelity_estimate": estimate,
     }
     if want_snapshots:
-        doc["snapshots"] = _snapshot_entries(snapshots, full)
+        doc["snapshots"] = [
+            {"step_index": i, "kind": pulse.kind.value, "ion": pulse.ion, "label": label,
+             "amplitudes": amplitudes}
+            for i, (pulse, label, amplitudes) in enumerate(
+                zip(seq.steps, seq.labels, step_triples), start=1)
+        ]
     return doc
 
 

@@ -11,8 +11,10 @@ and the ions are left in the linear cluster state.
 
 from __future__ import annotations
 
+from collections.abc import Callable
 from dataclasses import dataclass, field
 from math import sqrt
+from typing import Any
 
 from .errors import TruncationError, ValidationError, prefixed
 from .pulse import (
@@ -78,16 +80,6 @@ class PulseSequence:
         return sum(1 for s in self.steps if s.kind in SIDEBAND_KINDS)
 
 
-@dataclass(frozen=True)
-class Snapshot:
-    """State recorded right after one step of a run."""
-
-    step_index: int
-    pulse: Pulse
-    state: RegisterState
-    label: str | None = None
-
-
 def chain_sequence(n_ions: int) -> PulseSequence:
     """Pulse program producing the ``n_ions``-qubit linear cluster state.
 
@@ -127,23 +119,25 @@ def cluster6_sequence() -> PulseSequence:
 def run(
     seq: PulseSequence,
     n_max: int = 2,
-    record_snapshots: bool = False,
-) -> tuple[RegisterState, list[Snapshot]]:
+    snapshot: Callable[[RegisterState], Any] | None = None,
+) -> tuple[RegisterState, list[Any]]:
     """Build the initial register, apply every step in order.
 
-    Returns the final state and, when requested, one Snapshot per step.
-    A TruncationError or ValidationError raised by any pulse is re-raised
-    with the step named before its message and the 1-based step index
-    attached.
+    Returns the final state and the results of ``snapshot`` called on the
+    state right after each step (an empty list when ``snapshot`` is None).
+    A run keeps no earlier state itself, so one that ``snapshot`` does not
+    keep is freed at the next step.  A TruncationError or ValidationError
+    raised by any pulse is re-raised with the step named before its message
+    and the 1-based step index attached.
     """
     state = new_register(list(seq.preps), n_max)
-    snapshots: list[Snapshot] = []
+    taken: list[Any] = []
     for i, (step, label) in enumerate(zip(seq.steps, seq.labels), start=1):
         try:
             state = apply_pulse(state, step)
         except (TruncationError, ValidationError) as err:
             where = f"step {i} ({label or f'{step.kind.value} on ion {step.ion}'})"
             raise prefixed(err, where, step_index=i) from err
-        if record_snapshots:
-            snapshots.append(Snapshot(i, step, state, label))
-    return state, snapshots
+        if snapshot is not None:
+            taken.append(snapshot(state))
+    return state, taken

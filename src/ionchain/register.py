@@ -226,8 +226,9 @@ def check_register_size(n_ions: int, n_max: int) -> None:
         n_ions >= MAX_AMPLITUDES.bit_length()
         or math.prod(basis_shape(n_ions, n_max)) > MAX_AMPLITUDES
     ):
+        ions = _shown(n_ions)
         raise ValidationError(
-            f"{n_ions} ions at n_max={n_max} need 3^{n_ions}*{n_max + 1} "
+            f"{ions} ions at n_max={_shown(n_max)} need 3^{ions}*{_shown(n_max + 1)} "
             f"amplitudes, over the limit of {MAX_AMPLITUDES}"
         )
 

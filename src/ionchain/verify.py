@@ -23,6 +23,7 @@ from .errors import ValidationError
 from .register import (
     IonLevel,
     RegisterState,
+    _shown,
     basis_shape,
     check_register_size,
     global_phase_alignment,
@@ -142,7 +143,7 @@ def verify_run(state: RegisterState, n_qubits: int) -> VerificationReport:
     """Fidelity, stabilizer expectations and leakages against the reference."""
     if state.n_ions != n_qubits:
         raise ValidationError(
-            f"state has {state.n_ions} ions, expected {n_qubits}"
+            f"state has {state.n_ions} ions, expected {_shown(n_qubits)}"
         )
     ref = reference_cluster(n_qubits, n_max=state.n_max)
     return VerificationReport(

@@ -39,13 +39,13 @@ def test_criterion_1_exact_protocol_reproduction(capsys):
 
 
 def test_criterion_2_snapshot_regression():
-    _, snaps = ic.run(ic.cluster6_sequence(), n_max=2, record_snapshots=True)
+    _, snaps = ic.run(ic.cluster6_sequence(), n_max=2, snapshot=lambda s: s)
     targets = expected_states(n_max=2)
     worst = 0.0
-    for snap, target_vec in zip(snaps, targets):
+    for state, target_vec in zip(snaps, targets):
         target = ic.RegisterState(6, 2, target_vec)
-        phase = ic.global_phase_alignment(target, snap.state)
-        delta = float(np.max(np.abs(snap.state.amplitudes - phase * target.amplitudes)))
+        phase = ic.global_phase_alignment(target, state)
+        delta = float(np.max(np.abs(state.amplitudes - phase * target.amplitudes)))
         worst = max(worst, delta)
     ok = len(snaps) == 11 and worst <= 1e-10
     report(2, ok, f"11 post-step states, worst amplitude deviation {worst:.3e}")

@@ -17,7 +17,6 @@ PUBLIC_NAMES = [
     "PulseKind",
     "PulseSequence",
     "RegisterState",
-    "Snapshot",
     "TruncationError",
     "ValidationError",
     "VerificationReport",

@@ -5,6 +5,7 @@ import math
 import os
 import subprocess
 import sys
+import weakref
 
 import numpy as np
 import pytest
@@ -198,7 +199,30 @@ class TestRun:
         code, out, _ = run_cli(capsys, "run", "--protocol", "cluster6", "--snapshots")
         doc = json.loads(out)
         assert len(doc["snapshots"]) == 11
-        assert doc["snapshots"][0]["step_index"] == 1
+        seq = cluster6_sequence()
+        for i, (snap, pulse, label) in enumerate(
+            zip(doc["snapshots"], seq.steps, seq.labels, strict=True), start=1
+        ):
+            assert list(snap) == ["step_index", "kind", "ion", "label", "amplitudes"]
+            assert (snap["step_index"], snap["kind"], snap["ion"], snap["label"]) == (
+                i, pulse.kind.value, pulse.ion, label
+            )
+
+    def test_snapshots_keep_no_earlier_state(self, capsys, monkeypatch):
+        seen = []
+        triples = cli._amplitude_triples
+
+        def checked(state, full):
+            # Each state is turned into triples while its step is the latest;
+            # the final report reads the last one again.
+            assert all(ref() is None or ref() is state for ref in seen)
+            seen.append(weakref.ref(state))
+            return triples(state, full)
+
+        monkeypatch.setattr(cli, "_amplitude_triples", checked)
+        code, out, _ = run_cli(capsys, "run", "--protocol", "chain:4", "--snapshots")
+        assert code == 0
+        assert len(json.loads(out)["snapshots"]) == len(seen) - 1 == 7
 
     def test_sequence_file_roundtrip_equals_builtin_run(self, capsys, tmp_path):
         path = tmp_path / "seq.json"

@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import math
+import weakref
 
 import numpy as np
 import pytest
@@ -90,6 +91,24 @@ class TestRunner:
         assert np.array_equal(final.amplitudes, initial.amplitudes)
         assert snapshots == []
 
+    def test_without_snapshot_nothing_is_taken(self):
+        _, taken = run(cluster6_sequence(), n_max=2)
+        assert taken == []
+
+    def test_no_earlier_state_outlives_its_step(self):
+        previous = []
+
+        def snapshot(state):
+            # By the time the next step's state is handed over, the run
+            # must have let go of the one before it.
+            assert all(ref() is None for ref in previous)
+            previous.append(weakref.ref(state))
+            return None
+
+        final, taken = run(cluster6_sequence(), n_max=2, snapshot=snapshot)
+        assert taken == [None] * 11
+        assert previous[-1]() is final
+
     def test_final_state_matches_reference(self):
         final, _ = run(cluster6_sequence(), n_max=2)
         ref = reference_cluster(6, n_max=2)
@@ -144,8 +163,8 @@ class TestRunner:
 
 @pytest.fixture(scope="module")
 def snapshots():
-    _, snaps = run(cluster6_sequence(), n_max=2, record_snapshots=True)
-    return snaps
+    _, states = run(cluster6_sequence(), n_max=2, snapshot=lambda s: s)
+    return states
 
 
 @pytest.fixture(scope="module")
@@ -159,16 +178,15 @@ def expected():
 class TestSnapshotRegression:
     @pytest.mark.parametrize("step", range(1, 12))
     def test_state_after_step(self, snapshots, expected, step):
-        snap = snapshots[step - 1]
-        assert snap.step_index == step
         target = RegisterState(6, 2, expected[step - 1])
         assert states_allclose(
-            snap.state, target, atol=1e-10, up_to_global_phase=True
+            snapshots[step - 1], target, atol=1e-10, up_to_global_phase=True
         )
 
     def test_snapshots_are_normalized(self, snapshots):
-        for snap in snapshots:
-            assert abs(snap.state.norm() - 1.0) < 1e-12
+        assert len(snapshots) == 11
+        for state in snapshots:
+            assert abs(state.norm() - 1.0) < 1e-12
 
 
 class TestProtocolInvariants:
@@ -178,16 +196,17 @@ class TestProtocolInvariants:
 
     def test_no_eprime_residue_after_phase_gates(self):
         seq = cluster6_sequence()
-        _, snaps = run(seq, n_max=2, record_snapshots=True)
-        for snap in snaps:
-            if snap.pulse.kind == PulseKind.SIDEBAND_GEPRIME:
-                leak = population(snap.state, snap.pulse.ion, IonLevel.EPRIME)
+        _, states = run(seq, n_max=2, snapshot=lambda s: s)
+        for pulse, state in zip(seq.steps, states, strict=True):
+            if pulse.kind == PulseKind.SIDEBAND_GEPRIME:
+                leak = population(state, pulse.ion, IonLevel.EPRIME)
                 assert leak <= 1e-12
 
     def test_no_over_excitation(self):
-        _, snaps = run(cluster6_sequence(), n_max=2, record_snapshots=True)
-        for snap in snaps:
-            assert mode_population(snap.state, 2) <= 1e-12
+        _, states = run(cluster6_sequence(), n_max=2, snapshot=lambda s: s)
+        assert len(states) == 11
+        for state in states:
+            assert mode_population(state, 2) <= 1e-12
 
     def test_truncation_robustness_cutoff_1_vs_5(self):
         tight, _ = run(cluster6_sequence(), n_max=1)

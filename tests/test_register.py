@@ -18,6 +18,7 @@ from ionchain import (
     new_register,
     population,
     reference_cluster,
+    verify_run,
 )
 from ionchain import register
 from ionchain.register import MAX_AMPLITUDES, check_register_size
@@ -111,6 +112,26 @@ class TestAmplitudeCap:
         for n in (15, 10**8):
             with pytest.raises(ValidationError, match="at n_max=1"):
                 chain_sequence(n)
+
+    @pytest.mark.parametrize(
+        "call",
+        [
+            lambda huge: new_register([IonPrep.basis(IonLevel.G)] * 2, huge),
+            lambda huge: chain_sequence(huge),
+            lambda huge: reference_cluster(2, huge),
+            lambda huge: RegisterState(huge, 1, np.zeros(6, dtype=np.complex128)),
+            lambda huge: verify_run(reference_cluster(2, 2), huge),
+        ],
+        ids=["new_register", "chain_sequence", "reference_cluster", "RegisterState",
+             "verify_run"],
+    )
+    def test_an_integer_too_long_to_print_is_refused_in_one_line(self, call):
+        # str() of an int past Python's 4300-digit limit raises ValueError.
+        with pytest.raises(ValidationError) as excinfo:
+            call(10**5000)
+        message = str(excinfo.value)
+        assert "\n" not in message and len(message) < 200
+        assert "an integer of 16610 bits" in message
 
 
 class TestInnerProduct:

@@ -34,6 +34,7 @@ COMMANDS = [
     ["run", "--protocol", "cluster6", "--full", "--snapshots"],
     ["run", "--protocol", "chain:10", "--n-max", "2", "--snapshots"],
     ["run", "--protocol", "chain:12", "--n-max", "2", "--full"],
+    ["run", "--protocol", "chain:12", "--n-max", "2", "--snapshots"],
     ["noise", "--protocol", "cluster6", "--jitter-sigma", "0.02", "--trials", "1000",
      "--seed", "1", "--n-max", "4"],
     ["noise", "--protocol", "chain:6", "--jitter-sigma", "0.3", "--trials", "50",
