@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import sys
 from collections import Counter
@@ -26,8 +27,8 @@ from .noise import NoiseConfig, fidelity_estimate, monte_carlo
 from .protocol import PulseSequence, chain_sequence, cluster6_sequence, run
 from .pulse import Pulse, PulseKind
 from .register import (
-    LEVEL_NAMES, LEVELS_BY_NAME, IonPrep, RegisterState, basis_labels, require_int,
-    require_real,
+    LEVEL_NAMES, LEVELS_BY_NAME, MAX_REPORT_AMPLITUDES, IonPrep, RegisterState,
+    basis_labels, basis_shape, check_register_size, require_int, require_real,
 )
 from .verify import verify_run
 
@@ -210,6 +211,15 @@ def build_run_report(
 ) -> dict[str, Any]:
     # Built first, so a bad per-pulse fidelity is refused before simulating.
     estimate = _estimate_block(seq, per_pulse_fidelity)
+    if full:  # also refused before simulating
+        check_register_size(seq.n_ions, n_max)
+        dim = math.prod(basis_shape(seq.n_ions, n_max))
+        listed = dim * (1 + len(seq.steps) if want_snapshots else 1)
+        if listed > MAX_REPORT_AMPLITUDES:
+            raise ValidationError(
+                f"--full would list {listed} amplitudes ({dim} a state), "
+                f"over the limit of {MAX_REPORT_AMPLITUDES}"
+            )
     # Each state becomes its triples as the run goes, so none outlives its step.
     final, step_triples = run(
         seq, n_max=n_max,
@@ -252,7 +262,10 @@ def build_noise_report(
     protocol_name: str,
     n_max: int,
     cfg: NoiseConfig,
+    per_pulse_fidelity: float,
 ) -> dict[str, Any]:
+    # Built first, so a bad per-pulse fidelity is refused before simulating.
+    estimate = _estimate_block(seq, per_pulse_fidelity)
     result = monte_carlo(seq, cfg, n_max=n_max)
     return {
         "version": SEQUENCE_FILE_VERSION,
@@ -260,7 +273,7 @@ def build_noise_report(
             "protocol": protocol_name,
             "n_ions": seq.n_ions,
             "n_max": n_max,
-            "per_pulse_fidelity": cfg.per_pulse_fidelity,
+            "per_pulse_fidelity": per_pulse_fidelity,
             "jitter_sigma": cfg.jitter_sigma,
             "trials": cfg.trials,
             "seed": cfg.seed,
@@ -268,7 +281,7 @@ def build_noise_report(
         "mean_fidelity": result.mean_fidelity,
         "std_error": result.std_error,
         "samples": [float(x) for x in result.samples],
-        "fidelity_estimate": _estimate_block(seq, cfg.per_pulse_fidelity),
+        "fidelity_estimate": estimate,
     }
 
 
@@ -412,13 +425,8 @@ def _cmd_run(args: argparse.Namespace) -> None:
 
 def _cmd_noise(args: argparse.Namespace) -> None:
     seq, name = _select_sequence(args)
-    cfg = NoiseConfig(
-        per_pulse_fidelity=args.per_pulse_fidelity,
-        jitter_sigma=args.jitter_sigma,
-        trials=args.trials,
-        seed=args.seed,
-    )
-    doc = build_noise_report(seq, name, args.n_max, cfg)
+    cfg = NoiseConfig(jitter_sigma=args.jitter_sigma, trials=args.trials, seed=args.seed)
+    doc = build_noise_report(seq, name, args.n_max, cfg, args.per_pulse_fidelity)
     _emit(doc, args.out)
 
 

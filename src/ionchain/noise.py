@@ -18,7 +18,7 @@ n_max=4), and batches of trials step through it as (trials, support) arrays.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import NamedTuple
 
 import numpy as np
@@ -40,26 +40,16 @@ from .register import MAX_AMPLITUDES, new_register, require_int, require_real
 BATCH_BYTES = 1 << 18
 
 
-def _require_fidelity(value) -> float:
-    """``value`` as a float if it is a real number in (0, 1], else ValidationError."""
-    fidelity = require_real(value, "per_pulse_fidelity")
-    if not 0.0 < fidelity <= 1.0:
-        raise ValidationError(f"per_pulse_fidelity must lie in (0, 1], got {value!r}")
-    return fidelity
-
-
 @dataclass(frozen=True)
 class NoiseConfig:
     """Knobs for the jitter Monte Carlo.
 
-    jitter_sigma is the fractional pulse-area error (dimensionless);
-    per_pulse_fidelity feeds the multiplicative estimate.  trials is capped
-    at MAX_AMPLITUDES, the same budget as one register, since every trial
-    keeps a sample; seed is a non-negative integer, as numpy's generator
-    requires.  Each knob is stored as a Python float or int.
+    jitter_sigma is the fractional pulse-area error (dimensionless).  trials
+    is capped at MAX_AMPLITUDES, the same budget as one register, since
+    every trial keeps a sample; seed is a non-negative integer, as numpy's
+    generator requires.  Each knob is stored as a Python float or int.
     """
 
-    per_pulse_fidelity: float = 0.93
     jitter_sigma: float = 0.0
     trials: int = 1
     seed: int = 0
@@ -69,7 +59,6 @@ class NoiseConfig:
         if sigma < 0.0:
             raise ValidationError(f"jitter_sigma must be >= 0, got {sigma!r}")
         checked = {
-            "per_pulse_fidelity": _require_fidelity(self.per_pulse_fidelity),
             "jitter_sigma": sigma,
             "trials": require_int(self.trials, "trials", 1, MAX_AMPLITUDES),
             "seed": require_int(self.seed, "seed", 0),
@@ -93,12 +82,18 @@ def fidelity_estimate(
     pulse_count_override: int | None = None,
 ) -> float:
     """F**k with k the sequence's sideband-pulse count (or the override)."""
-    per_pulse_fidelity = _require_fidelity(per_pulse_fidelity)
+    fidelity = require_real(per_pulse_fidelity, "per_pulse_fidelity")
+    if not 0.0 < fidelity <= 1.0:
+        raise ValidationError(
+            f"per_pulse_fidelity must lie in (0, 1], got {per_pulse_fidelity!r}"
+        )
     if pulse_count_override is not None:
         k = require_int(pulse_count_override, "pulse_count_override", 0)
     else:
         k = seq.sideband_count()
-    return float(per_pulse_fidelity**k)
+    # F**(2**64) is already 0.0 for every float F < 1, and a larger int
+    # exponent would overflow its conversion to float.
+    return float(fidelity ** min(k, 2**64))
 
 
 def batch_trials(support_size: int, trials: int) -> int:
@@ -107,14 +102,14 @@ def batch_trials(support_size: int, trials: int) -> int:
 
 
 class _Step(NamedTuple):
-    """One pulse compiled to positions in the compact amplitude vector."""
+    """One pulse of any kind compiled to positions in the compact amplitude vector."""
 
     pulse: Pulse
     # The a members of the pulse's coupled pairs, then their b partners in
     # the same order (see pulse.coupled_pairs).
     pairs: np.ndarray
-    rows: np.ndarray  # Fock row of each pair
-    top: np.ndarray  # reachable |x,n_max> states: the truncation guard
+    rows: np.ndarray  # Fock row of each pair: its entry in the pulse_tables
+    top: np.ndarray  # reachable |x,n_max> states: the guard, empty for a carrier
 
 
 def _compile(
@@ -152,45 +147,28 @@ def _evolve(
 ) -> np.ndarray:
     """Evolve the (trials, support) array ``amps`` through ``steps`` in place.
 
-    ``thetas`` holds each trial's sideband areas in step order.  Returns each
-    row's largest probability on a reachable |x,n_max> state before one of
-    its sideband steps, or NaN for a row whose area overflows a rotation
-    angle.  The sum runs over reachable states only, so it may differ from a
-    dense run's in the last bit.
+    ``thetas`` holds each trial's areas, one column per step; each step
+    guards, then rotates by its own column.  Returns the mask of rows to
+    replay: an area that overflows a rotation angle, or a probability on a
+    reachable |x,n_max> state near or above 1e-12 before a step (the margin
+    covers summing over reachable states only).
     """
-    worst = np.zeros(len(amps))
-    column = 0
-    for step in steps:
-        pulse = step.pulse
-        if pulse.kind in SIDEBAND_KINDS:
+    replay = np.zeros(len(amps), dtype=bool)
+    for step, theta in zip(steps, thetas.T):
+        c, s = pulse_tables(step.pulse.kind, theta, n_max)
+        replay |= ~np.isfinite(c).all(axis=1)
+        if step.top.size:  # empty for carriers and often for sidebands
             leak = np.sum(np.abs(amps[:, step.top]) ** 2, axis=1)
-            c, s = pulse_tables(pulse.kind, thetas[:, column], n_max)
-            leak[~np.isfinite(c).all(axis=1)] = np.nan
-            worst = np.maximum(worst, leak)  # keeps NaN
-            c, s = c[:, step.rows], s[:, step.rows]
-            column += 1
-        else:
-            c, s = pulse_tables(pulse.kind, pulse.theta, n_max)
+            replay |= ~(leak <= TRUNCATION_ATOL * (1.0 - 1e-6))
         pairs = amps[:, step.pairs]
         out = np.empty_like(pairs)
         half = pairs.shape[1] // 2
         rotate_pairs(
-            pairs[:, :half], pairs[:, half:], c, s, pulse.phi,
-            out[:, :half], out[:, half:],
+            pairs[:, :half], pairs[:, half:], c[:, step.rows], s[:, step.rows],
+            step.pulse.phi, out[:, :half], out[:, half:],
         )
         amps[:, step.pairs] = out
-    return worst
-
-
-def _jittered(seq: PulseSequence, thetas: np.ndarray) -> PulseSequence:
-    """``seq`` with its sideband areas, in step order, replaced by ``thetas``."""
-    areas = iter(thetas.tolist())
-    steps = [
-        Pulse(step.kind, step.ion, step.phi, next(areas))
-        if step.kind in SIDEBAND_KINDS else step
-        for step in seq.steps
-    ]
-    return PulseSequence(seq.preps, steps, seq.labels)
+    return replay
 
 
 def monte_carlo(
@@ -202,10 +180,12 @@ def monte_carlo(
 
     Draw order is fixed for reproducibility: one eps per sideband step in
     step order, trials outermost, from numpy's default PCG64 generator
-    seeded with cfg.seed.  Carrier pulses draw nothing and stay exact.
-    Identical configs therefore give bitwise-identical samples, and runs
-    with the same seed but different sigma share the same unit draws (eps
-    scales linearly with sigma).
+    seeded with cfg.seed.  The draws fill the sideband columns of one
+    (trials, steps) area matrix areas*(1+jitter); carrier columns take
+    jitter 0, so carriers draw nothing and stay exact, and each step reads
+    its own column.  Identical configs therefore give bitwise-identical
+    samples, and runs with the same seed but different sigma share the same
+    unit draws (eps scales linearly with sigma).
 
     Trials run in batches over the program's reachable subspace: one dense
     ideal run, one compile of the pulse pattern into index pairs, then per
@@ -218,22 +198,24 @@ def monte_carlo(
 
     The batch only flags trials that may fail: a guard probability on
     |x,n_max> near or above 1e-12, or an area that overflows.  Flagged
-    trials are replayed in order as a dense ``run`` of their jittered
-    pulses, and the replay decides: its TruncationError or ValidationError
-    is re-raised with ``trial N:`` prefixed and the trial index set, so a
-    sweep fails exactly as a trial-by-trial run would.  A flagged trial
-    whose replay passes is scored from the batch.  Jittered sequences
-    spread population above the levels the ideal run touches, so n_max needs
-    headroom.  A red sideband conserves ion excitations plus phonons and
-    only carriers change that count, so the states a program can reach
-    have a largest phonon number whatever the areas: chain:N reaches no
-    |x,n_max> state from n_max = N // 2 (1 for chain:2 and chain:3), where
-    no sigma can truncate.  The six-ion program needs 3, chain:10 needs 5.
+    trials are replayed in order as a dense ``run`` of the pulses built from
+    their own row of areas, and the replay decides: its TruncationError or
+    ValidationError is re-raised with ``trial N:`` prefixed and the trial
+    index set, so a sweep fails exactly as a trial-by-trial run would.  A
+    flagged trial whose replay passes is scored from the batch.  Jittered
+    sequences spread population above the levels the ideal run touches, so
+    n_max needs headroom.  A red sideband conserves ion excitations plus
+    phonons and only carriers change that count, so the states a program can
+    reach have a largest phonon number whatever the areas: chain:N reaches
+    no |x,n_max> state from n_max = N // 2 (1 for chain:2 and chain:3),
+    where no sigma can truncate.  The six-ion program needs 3, chain:10
+    needs 5.
     """
     ideal, _ = run(seq, n_max=n_max)
     initial = new_register(list(seq.preps), n_max).amplitudes
     support, steps = _compile(seq, initial, n_max)
-    areas = np.array([step.theta for step in seq.steps if step.kind in SIDEBAND_KINDS])
+    areas = np.array([step.theta for step in seq.steps])
+    jittered = np.array([step.kind in SIDEBAND_KINDS for step in seq.steps], dtype=bool)
     batch = batch_trials(support.size, cfg.trials)
     rng = np.random.default_rng(cfg.seed)
     samples = np.empty(cfg.trials, dtype=np.float64)
@@ -241,16 +223,17 @@ def monte_carlo(
     dense = np.zeros(ideal.dim, dtype=np.complex128)
     for start in range(0, cfg.trials, batch):
         size = min(batch, cfg.trials - start)
-        eps = rng.normal(0.0, cfg.jitter_sigma, size=(size, areas.size))
+        jitter = np.zeros((size, areas.size))
+        jitter[:, jittered] = rng.normal(0.0, cfg.jitter_sigma, (size, jittered.sum()))
         amps = np.tile(start_amps, (size, 1))
         with np.errstate(over="ignore", invalid="ignore"):
-            thetas = areas * (1.0 + eps)
-            worst = _evolve(amps, steps, thetas, n_max)
-        # The margin covers the guard's summation order; the replay is exact.
-        for row in np.flatnonzero(~(worst <= TRUNCATION_ATOL * (1.0 - 1e-6))):
+            thetas = areas * (1.0 + jitter)
+            replay = _evolve(amps, steps, thetas, n_max)
+        for row in np.flatnonzero(replay):
             trial = start + int(row)
             try:
-                run(_jittered(seq, thetas[row]), n_max=n_max)
+                pulses = [replace(p, theta=t) for p, t in zip(seq.steps, thetas[row].tolist())]
+                run(PulseSequence(seq.preps, pulses, seq.labels), n_max=n_max)
             except (TruncationError, ValidationError) as err:
                 raise prefixed(err, f"trial {trial}", trial_index=trial) from err
         for row in range(size):

@@ -96,14 +96,14 @@ def coupled_pairs(block: np.ndarray, pulse: Pulse, n_max: int):
 def pulse_tables(kind: PulseKind, theta, n_max: int) -> tuple[np.ndarray, np.ndarray]:
     """cos and sin of the half angle each pair turns by, Fock row m last.
 
-    A carrier turns every pair by theta/2; sideband pair m by
-    theta*sqrt(m+1)/2.  ``theta`` may be an array of areas, one row each.  An
-    angle that overflows gives NaN entries, without a warning.
+    Sideband pair m turns by theta*sqrt(m+1)/2 (n_max rows) and every carrier
+    pair by theta/2 (n_max+1 equal rows), so every kind's tables index alike.
+    ``theta`` may be an array of areas, one row each.  An angle that
+    overflows gives NaN entries, without a warning.
     """
+    rates = np.sqrt(np.arange(1.0, n_max + 1)) if kind in SIDEBAND_KINDS else np.ones(n_max + 1)
     with np.errstate(over="ignore", invalid="ignore"):
-        half = 0.5 * np.asarray(theta)
-        if kind in SIDEBAND_KINDS:
-            half = half[..., None] * np.sqrt(np.arange(1, n_max + 1, dtype=np.float64))
+        half = 0.5 * np.asarray(theta)[..., None] * rates
         return np.cos(half), np.sin(half)
 
 

@@ -39,6 +39,11 @@ PREP_NORM_ATOL = 1e-9
 #: values, 268 MB.  Admits 14 ions at n_max=2 and 12 ions up to n_max=30.
 MAX_AMPLITUDES = 2**24
 
+#: Most amplitudes a ``--full`` report may list over all its states: about
+#: 1.6 GB of report building at the 0.75 kB a listed amplitude measured for
+#: chain:12 --full at n_max=2, which it admits.
+MAX_REPORT_AMPLITUDES = 2**21
+
 
 class IonLevel(IntEnum):
     """Internal level of a single ion: ground, excited, auxiliary excited."""

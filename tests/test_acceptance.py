@@ -194,8 +194,8 @@ def test_criterion_7_noise_determinism_and_trends():
     )
 
     cfg = ic.NoiseConfig(jitter_sigma=0.02, trials=40, seed=7)
-    first = json.dumps(build_noise_report(seq, "cluster6", 4, cfg))
-    second = json.dumps(build_noise_report(seq, "cluster6", 4, cfg))
+    first = json.dumps(build_noise_report(seq, "cluster6", 4, cfg, 0.93))
+    second = json.dumps(build_noise_report(seq, "cluster6", 4, cfg, 0.93))
     bytes_ok = first == second
     run_first = json.dumps(build_run_report(seq, "cluster6", 2, 0.93, True, False))
     run_second = json.dumps(build_run_report(seq, "cluster6", 2, 0.93, True, False))

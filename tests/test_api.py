@@ -6,6 +6,8 @@ this list.
 
 from __future__ import annotations
 
+import dataclasses
+
 import ionchain
 
 PUBLIC_NAMES = [
@@ -51,3 +53,10 @@ def test_public_names_are_pinned_and_resolve():
     assert sorted(ionchain.__all__) == PUBLIC_NAMES
     for name in PUBLIC_NAMES:
         assert getattr(ionchain, name) is not None
+
+
+def test_noise_config_fields_are_pinned():
+    # The multiplicative estimate's fidelity is an argument of
+    # fidelity_estimate, not a Monte Carlo knob.
+    fields = [f.name for f in dataclasses.fields(ionchain.NoiseConfig)]
+    assert fields == ["jitter_sigma", "trials", "seed"]

@@ -394,6 +394,28 @@ class TestRun:
             assert err.startswith("error: ") and "over the limit" in err
             assert err.count("\n") == 1
 
+    def test_oversized_full_report_exits_2_before_simulating(self, capsys, monkeypatch):
+        # cluster6 at n_max=2 has 2,187 amplitudes and 11 steps.
+        monkeypatch.setattr(cli, "MAX_REPORT_AMPLITUDES", 2187)
+        for argv in [("--full",), ("--snapshots",), ()]:
+            code, out, _ = run_cli(capsys, "run", "--protocol", "cluster6", *argv)
+            assert code == 0 and out
+
+        def no_run(*args, **kwargs):
+            raise AssertionError("simulated an oversized --full report")
+
+        monkeypatch.setattr(cli, "run", no_run)
+        for argv, per_state, states in [
+            (("--full", "--snapshots"), 2187, 12),
+            (("--full", "--n-max", "3"), 2916, 1),
+        ]:
+            code, out, err = run_cli(capsys, "run", "--protocol", "cluster6", *argv)
+            assert (code, out) == (2, "")
+            assert err == (
+                f"error: --full would list {per_state * states} amplitudes "
+                f"({per_state} a state), over the limit of 2187\n"
+            )
+
     @pytest.mark.parametrize("value", ["nan", "0", "1.5"])
     def test_bad_per_pulse_fidelity_exits_before_simulating(
         self, capsys, monkeypatch, value

@@ -74,15 +74,24 @@ class TestFidelityEstimate:
                 fidelity_estimate(cluster6_sequence(), 0.9, pulse_count_override=k)
         assert fidelity_estimate(cluster6_sequence(), 0.9, np.int64(2)) == 0.9**2
 
+    @pytest.mark.parametrize("fid, want", [(0.93, 0.0), (1 - 2**-53, 0.0), (1.0, 1.0)])
+    def test_pulse_count_past_float_range(self, fid, want):
+        # 10**400 does not convert to a float; the result is still exact.
+        for k in (2**64, 10**400):
+            got = fidelity_estimate(cluster6_sequence(), fid, pulse_count_override=k)
+            assert (type(got), got) == (float, want)
+
 
 class TestNoiseConfig:
     def test_defaults(self):
-        cfg = NoiseConfig()
-        assert cfg.per_pulse_fidelity == 0.93
+        assert NoiseConfig() == NoiseConfig(jitter_sigma=0.0, trials=1, seed=0)
+        # The estimate's per-pulse fidelity is not a knob; it defaults in
+        # fidelity_estimate.
+        assert fidelity_estimate(cluster6_sequence()) == 0.93**10
 
     def test_validation(self):
         with pytest.raises(ValidationError):
-            NoiseConfig(per_pulse_fidelity=0.0)
+            fidelity_estimate(cluster6_sequence(), per_pulse_fidelity=0.0)
         with pytest.raises(ValidationError):
             NoiseConfig(jitter_sigma=-0.1)
         with pytest.raises(ValidationError):
@@ -359,6 +368,14 @@ class TestFailureReplay:
     def test_flagged_trial_whose_replay_passes_is_scored(self, monkeypatch):
         # Only the batch's flag is tightened: the replays run at the real 1e-12.
         monkeypatch.setattr("ionchain.noise.TRUNCATION_ATOL", 1e-15)
+        cfg = NoiseConfig(jitter_sigma=2e-6, trials=20, seed=1)
+        samples = monte_carlo(cluster6_sequence(), cfg, n_max=2).samples
+        assert np.array_equal(samples, trialwise(cluster6_sequence(), cfg, 2))
+
+    def test_replays_that_pass_leave_later_batches_alone(self, monkeypatch):
+        # Three trials a batch, so flagged rows fall in every batch.
+        monkeypatch.setattr("ionchain.noise.TRUNCATION_ATOL", 1e-15)
+        monkeypatch.setattr("ionchain.noise.batch_trials", lambda support, trials: 3)
         cfg = NoiseConfig(jitter_sigma=2e-6, trials=20, seed=1)
         samples = monte_carlo(cluster6_sequence(), cfg, n_max=2).samples
         assert np.array_equal(samples, trialwise(cluster6_sequence(), cfg, 2))

@@ -24,6 +24,7 @@ from ionchain import (
     population,
     run,
 )
+from ionchain.pulse import coupled_pairs, pulse_tables
 from conftest import amp, ket, make_random_state, oracle_basis_index, permute_other_ions
 
 INV_SQRT2 = 1.0 / math.sqrt(2.0)
@@ -113,6 +114,26 @@ class TestCarrierMap:
             with pytest.raises(ValidationError, match="finite"):
                 apply_pulse(state, Pulse(PulseKind.CARRIER, 1, phi_c, theta_c))
 
+
+class TestPulseTables:
+    """Every kind's tables end in one Fock-row axis that its pair rows index."""
+
+    @pytest.mark.parametrize("kind", list(PulseKind))
+    def test_one_entry_per_fock_row_of_the_pairs(self, kind):
+        a, _, _ = coupled_pairs(np.arange(3 * 4), Pulse(kind, 1, 0.0, 1.0), 3)
+        c, s = pulse_tables(kind, 1.0, 3)
+        assert c.shape == s.shape == a.shape[-1:]
+        rows = pulse_tables(kind, np.array([1.0, -2.0]), 3)[0]
+        assert rows.shape == (2, a.shape[-1])
+        assert np.array_equal(rows[0], c)
+
+    def test_carrier_rows_are_one_rotation(self):
+        c, s = pulse_tables(PulseKind.CARRIER, 1.3, 2)
+        assert np.all(c == c[0]) and np.all(s == s[0]) and c.size == 3
+        assert (c[0], s[0]) == pytest.approx((math.cos(0.65), math.sin(0.65)), abs=1e-15)
+        c, _ = pulse_tables(PulseKind.SIDEBAND_GE, 1.3, 2)
+        want = [math.cos(0.65), math.cos(0.65 * math.sqrt(2))]
+        assert c == pytest.approx(want, abs=1e-15)
 
 class TestGadgets:
     def test_parameter_table(self):

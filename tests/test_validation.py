@@ -34,7 +34,7 @@ BAD_CALLS = {
     "run-n-max-string": lambda: run(cluster6_sequence(), n_max="2"),  # TypeError
     "reference-n-max-bool": lambda: reference_cluster(3, n_max=True),  # returned
     "sigma-bool": lambda: NoiseConfig(jitter_sigma=True),  # accepted
-    "fidelity-bool": lambda: NoiseConfig(per_pulse_fidelity=True),  # accepted
+    "fidelity-bool": lambda: fidelity_estimate(cluster6_sequence(), True),  # accepted
     "sigma-string": lambda: NoiseConfig(jitter_sigma="x"),  # TypeError
     "estimate-string": lambda: fidelity_estimate(cluster6_sequence(), "0.9"),  # TypeError
     "phi-bool": lambda: Pulse(CARRIER, 1, True, 1.0),  # accepted
@@ -59,8 +59,10 @@ def test_well_typed_api_input_is_stored_as_python_numbers():
     # so a report built from them is JSON-serializable.
     pulse = Pulse(CARRIER, np.int64(1), 0, np.float32(0.5))
     assert (type(pulse.ion), type(pulse.phi), type(pulse.theta)) == (int, float, float)
-    cfg = NoiseConfig(1, np.float64(0.01), np.int64(2), np.int64(3))
-    assert [type(v) for v in (cfg.per_pulse_fidelity, cfg.jitter_sigma)] == [float] * 2
+    cfg = NoiseConfig(np.float64(0.01), np.int64(2), np.int64(3))
+    assert type(cfg.jitter_sigma) is float
+    estimate = fidelity_estimate(cluster6_sequence(), 1)
+    assert (type(estimate), estimate) == (float, 1.0)
     assert [type(v) for v in (cfg.trials, cfg.seed)] == [int] * 2
     prep = IonPrep([(np.int64(0), np.complex64(1j))])
     assert prep.coefficients[IonLevel.G] == 1j

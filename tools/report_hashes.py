@@ -12,11 +12,12 @@ prints ``sha256(stderr)[:16]  exit N  argv``, pinning its one-line reason.
 The sequence file is emitted to the fixed relative name ``cluster6.json`` in
 that directory, so the ``run --sequence`` report (which names its file)
 hashes the same for every tree; ``hot.json`` is a one-ion program whose
-third step leaks past ``--n-max 1``, ``one.json`` one whose only area
-overflows its rotation angle at ``--n-max 5``, ``twice.json`` one that
-repeats its ``steps`` field, and ``theta.json`` one whose step repeats its
-``theta`` field.  Comparing two trees is then one
-``diff`` of two outputs.  A command that exits with another code stops the
+third step leaks past ``--n-max 1``, ``carriers.json`` a two-ion program
+that interleaves jittered sidebands with carriers of other than the
+default areas and phases, ``one.json`` one whose only area overflows its
+rotation angle at ``--n-max 5``, ``twice.json`` one that repeats its
+``steps`` field, and ``theta.json`` one whose step repeats its ``theta``
+field.  Comparing two trees is then one ``diff`` of two outputs.  A command that exits with another code stops the
 tool with its exit code and stderr.
 """
 
@@ -43,6 +44,8 @@ COMMANDS = [
     ["emit", "--protocol", "cluster6"],
     ["emit", "--protocol", "cluster6", "--out", "cluster6.json"],
     ["run", "--sequence", "cluster6.json", "--full"],
+    ["noise", "--sequence", "carriers.json", "--jitter-sigma", "0.05", "--trials", "200",
+     "--seed", "3", "--n-max", "3"],
 ]
 
 #: (exit code, argv) of commands that must fail.
@@ -72,6 +75,22 @@ HOT_SEQUENCE = {
     ],
 }
 
+CARRIER_SEQUENCE = {
+    "version": "1",
+    "ions": [
+        [{"level": "e", "re": 1.0, "im": 0.0}],
+        [{"level": "g", "re": 0.6, "im": 0.0}, {"level": "e", "re": 0.0, "im": 0.8}],
+    ],
+    "steps": [
+        {"kind": "sideband_ge", "ion": 1, "phi": math.pi, "theta": math.pi / 2},
+        {"kind": "carrier", "ion": 2, "phi": 0.2, "theta": 1.1},
+        {"kind": "sideband_geprime", "ion": 2, "phi": 0.0, "theta": 2 * math.pi},
+        {"kind": "carrier", "ion": 1, "phi": 2.5, "theta": -0.4},
+        {"kind": "sideband_ge", "ion": 2, "phi": 0.0, "theta": math.pi},
+        {"kind": "sideband_ge", "ion": 1, "phi": math.pi, "theta": math.pi},
+    ],
+}
+
 ONE_SEQUENCE = {
     "version": "1",
     "ions": [[{"level": "e", "re": 1.0, "im": 0.0}]],
@@ -97,7 +116,8 @@ def main(argv: list[str]) -> int:
         return 2
     env = dict(os.environ, PYTHONPATH=os.path.abspath(argv[0]))
     with tempfile.TemporaryDirectory() as cwd:
-        for name, doc in (("hot.json", HOT_SEQUENCE), ("one.json", ONE_SEQUENCE)):
+        for name, doc in (("hot.json", HOT_SEQUENCE), ("carriers.json", CARRIER_SEQUENCE),
+                          ("one.json", ONE_SEQUENCE)):
             with open(os.path.join(cwd, name), "w", encoding="utf-8") as fh:
                 json.dump(doc, fh)
         for name, text in RAW_TEXTS.items():
