@@ -301,9 +301,16 @@ def _select_sequence(args: argparse.Namespace) -> tuple[PulseSequence, str]:
         tail = protocol.split(":", 1)[1]
         try:
             n = whole_number(tail)
-        except ValueError:
+        except argparse.ArgumentTypeError:
             raise ValidationError(f"bad chain size {tail!r} in --protocol") from None
-        return chain_sequence(n), f"chain:{n}"
+        try:
+            return chain_sequence(n), f"chain:{n}"
+        except ValidationError:
+            # A chain too long even at n_max=1: name the cutoff given, if any.
+            n_max = getattr(args, "n_max", 0)
+            if n >= 2 and n_max >= 1:
+                check_register_size(n, n_max)
+            raise
     raise ValidationError(
         f"unknown protocol {protocol!r}; use cluster6 or chain:N"
     )
@@ -346,7 +353,7 @@ def _emit(doc: dict[str, Any], out: str | None) -> None:
 def whole_number(text: str) -> int:
     """Integer flags and ``chain:N``: ASCII digits only; int() also takes signs and _."""
     if not (text.isascii() and text.isdigit()):
-        raise ValueError(text)
+        raise argparse.ArgumentTypeError(f"must be a whole number in ASCII digits, got {text!r}")
     return int(text)
 
 

@@ -13,7 +13,7 @@ couples only |x,m> with |g,m+1> on one ion and a carrier only |g> with |e>,
 so the basis states a program can populate follow from its initial support
 and pulse pattern, whatever the areas.  The program is compiled once into
 index pairs over those states (262 of 3,645 for the six-ion program at
-n_max=4), and batches of trials step through it as (trials, support) arrays.
+n_max=4), and batches of trials step through it as (support, trials) arrays.
 """
 
 from __future__ import annotations
@@ -33,7 +33,7 @@ from .pulse import (
     pulse_tables,
     rotate_pairs,
 )
-from .register import MAX_AMPLITUDES, new_register, require_int, require_real
+from .register import MAX_AMPLITUDES, ion_axes, new_register, require_int, require_real
 
 #: Compact amplitudes one batch of trials may hold (16 bytes per trial and
 #: reachable state): 62 trials of the six-ion program's 262 states.
@@ -97,7 +97,7 @@ def fidelity_estimate(
 
 
 def batch_trials(support_size: int, trials: int) -> int:
-    """Trials per batch: as many support-sized rows as BATCH_BYTES holds, >= 1."""
+    """Trials per batch: as many support-sized columns as BATCH_BYTES holds, >= 1."""
     return max(1, min(trials, BATCH_BYTES // (16 * support_size)))
 
 
@@ -124,7 +124,7 @@ def _compile(
     grid = np.arange(reach.size)
     dense_steps = []
     for step in seq.steps:
-        first, second, top = coupled_pairs(grid, step, n_max)
+        first, second, top = coupled_pairs(ion_axes(grid, step.ion, n_max), step.kind)
         rows = np.broadcast_to(np.arange(first.shape[-1]), first.shape)
         top = top.ravel()
         top = top[reach[top]]
@@ -145,29 +145,35 @@ def _compile(
 def _evolve(
     amps: np.ndarray, steps: list[_Step], thetas: np.ndarray, n_max: int
 ) -> np.ndarray:
-    """Evolve the (trials, support) array ``amps`` through ``steps`` in place.
+    """Evolve the (support, trials) array ``amps`` through ``steps`` in place.
 
     ``thetas`` holds each trial's areas, one column per step; each step
-    guards, then rotates by its own column.  Returns the mask of rows to
+    guards, then rotates by its own column.  Returns the mask of trials to
     replay: an area that overflows a rotation angle, or a probability on a
     reachable |x,n_max> state near or above 1e-12 before a step (the margin
-    covers summing over reachable states only).
+    covers summing over reachable states only).  With trials last, a step's
+    pairs, tables and outputs are contiguous (pairs, trials) blocks.
     """
-    replay = np.zeros(len(amps), dtype=bool)
+    trials = amps.shape[1]
+    replay = np.zeros(trials, dtype=bool)
+    # Each step's outputs and scratch are contiguous slices of one buffer.
+    widest = max((step.pairs.size for step in steps), default=0)
+    buffer = np.empty(5 * widest * trials // 2, dtype=amps.dtype)
     for step, theta in zip(steps, thetas.T):
         c, s = pulse_tables(step.pulse.kind, theta, n_max)
         replay |= ~np.isfinite(c).all(axis=1)
         if step.top.size:  # empty for carriers and often for sidebands
-            leak = np.sum(np.abs(amps[:, step.top]) ** 2, axis=1)
+            leak = np.sum(np.abs(amps[step.top]) ** 2, axis=0)
             replay |= ~(leak <= TRUNCATION_ATOL * (1.0 - 1e-6))
-        pairs = amps[:, step.pairs]
-        out = np.empty_like(pairs)
-        half = pairs.shape[1] // 2
+        pairs = amps[step.pairs]
+        half = len(pairs) // 2
+        out = buffer[: pairs.size].reshape(pairs.shape)
+        scratch = buffer[pairs.size : 5 * half * trials].reshape(3, half, trials)
         rotate_pairs(
-            pairs[:, :half], pairs[:, half:], c[:, step.rows], s[:, step.rows],
-            step.pulse.phi, out[:, :half], out[:, half:],
+            pairs[:half], pairs[half:], c.T[step.rows], s.T[step.rows],
+            step.pulse.phi, out[:half], out[half:], scratch,
         )
-        amps[:, step.pairs] = out
+        amps[step.pairs] = out
     return replay
 
 
@@ -189,12 +195,13 @@ def monte_carlo(
 
     Trials run in batches over the program's reachable subspace: one dense
     ideal run, one compile of the pulse pattern into index pairs, then per
-    batch a (trials, support) complex array that every step gathers, rotates
+    batch a (support, trials) complex array that every step gathers, rotates
     and scatters in place.  Memory is bounded by the dense ideal state and
     the compile's dense index arrays, plus a batch of at most BATCH_BYTES
-    (256 KiB) and its per-step temporaries, whatever the trial count.  Each
-    sample is scored against the dense ideal state through one reused dense
-    row, so it is bitwise the fidelity a dense run of the trial would give.
+    (256 KiB) and one buffer for its per-step outputs and scratch, whatever
+    the trial count.  Each sample is scored against the dense ideal state
+    through one reused dense row, so it is bitwise the fidelity a dense run
+    of the trial would give.
 
     The batch only flags trials that may fail: a guard probability on
     |x,n_max> near or above 1e-12, or an area that overflows.  Flagged
@@ -225,7 +232,7 @@ def monte_carlo(
         size = min(batch, cfg.trials - start)
         jitter = np.zeros((size, areas.size))
         jitter[:, jittered] = rng.normal(0.0, cfg.jitter_sigma, (size, jittered.sum()))
-        amps = np.tile(start_amps, (size, 1))
+        amps = np.repeat(start_amps[:, None], size, axis=1)
         with np.errstate(over="ignore", invalid="ignore"):
             thetas = areas * (1.0 + jitter)
             replay = _evolve(amps, steps, thetas, n_max)
@@ -236,8 +243,8 @@ def monte_carlo(
                 run(PulseSequence(seq.preps, pulses, seq.labels), n_max=n_max)
             except (TruncationError, ValidationError) as err:
                 raise prefixed(err, f"trial {trial}", trial_index=trial) from err
-        for row in range(size):
-            dense[support] = amps[row]
+        for row, final in enumerate(amps.T.copy()):  # each trial's state contiguous
+            dense[support] = final
             samples[start + row] = abs(complex(np.vdot(ideal.amplitudes, dense))) ** 2
     mean = float(np.mean(samples))
     if cfg.trials > 1 and not np.all(samples == samples[0]):

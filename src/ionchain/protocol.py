@@ -67,7 +67,7 @@ class PulseSequence:
                 f"{len(labels)} labels for {len(self.steps)} steps"
             )
         object.__setattr__(self, "labels", labels)
-        check_register_size(len(self.preps), 1)
+        check_register_size(len(self.preps))
         for i, step in enumerate(self.steps, start=1):
             require_int(step.ion, f"step {i} ion", 1, len(self.preps))
 
@@ -92,7 +92,7 @@ def chain_sequence(n_ions: int) -> PulseSequence:
     n_max=1 is refused before any preparation is built.
     """
     n_ions = require_int(n_ions, "chain length", 2)
-    check_register_size(n_ions, 1)
+    check_register_size(n_ions)
 
     preps = [IonPrep.basis(IonLevel.E), IonPrep.basis(IonLevel.G)] + [
         IonPrep([(IonLevel.G, _INV_SQRT2),

@@ -39,7 +39,16 @@ from enum import Enum
 import numpy as np
 
 from .errors import TruncationError, ValidationError
-from .register import IonLevel, RegisterState, ion_axes, require_int, require_real
+from .register import (
+    IonLevel,
+    RegisterState,
+    block_workers,
+    ion_axes,
+    ion_blocks,
+    require_int,
+    require_real,
+    split_work,
+)
 
 #: A sideband pulse aborts when the top coupled component carries more
 #: probability than this.
@@ -80,17 +89,17 @@ class Pulse:
         object.__setattr__(self, "theta", require_real(self.theta, "pulse parameters"))
 
 
-def coupled_pairs(block: np.ndarray, pulse: Pulse, n_max: int):
-    """Views (a, b, top) of ``block``: the pairs ``pulse`` rotates, Fock row last.
+def coupled_pairs(axes: np.ndarray, kind: PulseKind):
+    """Views (a, b, top) of an ``ion_axes`` view or block: the pairs a pulse rotates.
 
     A sideband pairs a = |g,m+1> with b = |x,m> and guards top = |x,n_max>;
     a carrier pairs a = |e> with b = |g> and guards nothing (top is empty).
+    The Fock row is the last axis of each.
     """
-    axes = ion_axes(block, pulse.ion, n_max)
-    if pulse.kind == PulseKind.CARRIER:
-        return axes[:, 1], axes[:, 0], block[:0]
-    x_level = int(EXCITED_LEVEL[pulse.kind])
-    return axes[:, 0, :, 1:], axes[:, x_level, :, :-1], axes[:, x_level, :, n_max]
+    if kind == PulseKind.CARRIER:
+        return axes[:, 1], axes[:, 0], axes[:, 0, :, :0]
+    x_level = int(EXCITED_LEVEL[kind])
+    return axes[:, 0, :, 1:], axes[:, x_level, :, :-1], axes[:, x_level, :, -1]
 
 
 def pulse_tables(kind: PulseKind, theta, n_max: int) -> tuple[np.ndarray, np.ndarray]:
@@ -107,20 +116,29 @@ def pulse_tables(kind: PulseKind, theta, n_max: int) -> tuple[np.ndarray, np.nda
         return np.cos(half), np.sin(half)
 
 
-def rotate_pairs(a, b, c, s, phi: float, out_a, out_b) -> None:
+def rotate_pairs(a, b, c, s, phi: float, out_a, out_b, scratch) -> None:
     """Write the closed-form pulse on coupled amplitude pairs (a, b).
 
     Sets ``out_a = c*a - e^{+i phi} s*b`` and ``out_b = c*b + e^{-i phi} s*a``;
-    the outputs must not overlap the inputs.  Sideband pairs are
-    (|g,m+1>, |x,m>) and carrier pairs (|e>, |g>); the dense pulses and the
-    batched Monte Carlo both go through this one expression, so they agree
-    bitwise.  Writing in place keeps one result at a time alive, which on
-    long chains is measurably faster than returning both.
+    no output may overlap an input.  ``scratch`` holds three complex arrays
+    of the pairs' shape for the partial products, so the call allocates
+    nothing and may run on any thread; none is computed in place, because
+    numpy rounds a one-element complex product in place without the fused
+    multiply-add it uses elsewhere.  Sideband pairs are (|g,m+1>, |x,m>) and
+    carrier pairs (|e>, |g>); the dense pulses and the batched Monte Carlo
+    both go through this one expression, so they agree bitwise.
     """
     e_plus = np.exp(1j * phi)
     e_minus = np.exp(-1j * phi)
-    out_a[...] = c * a - e_plus * (s * b)
-    out_b[...] = c * b + e_minus * (s * a)
+    first, second, third = scratch
+    np.multiply(c, a, out=first)
+    np.multiply(s, b, out=second)
+    np.multiply(e_plus, second, out=third)
+    np.subtract(first, third, out=out_a)
+    np.multiply(c, b, out=first)
+    np.multiply(s, a, out=second)
+    np.multiply(e_minus, second, out=third)
+    np.add(first, third, out=out_b)
 
 
 def apply_pulse(state: RegisterState, pulse: Pulse) -> RegisterState:
@@ -128,10 +146,13 @@ def apply_pulse(state: RegisterState, pulse: Pulse) -> RegisterState:
 
     A sideband pulse raises TruncationError instead of running when the
     state carries more than 1e-12 probability on |x, n_max>, and any pulse
-    raises ValidationError when its area overflows a rotation angle.
+    raises ValidationError when its area overflows a rotation angle.  Both
+    checks read the whole vector on the calling thread; the copy into the
+    new buffer and the rotation then run block by block (``ion_blocks``),
+    each block on one of ``block_workers`` threads with its own scratch.
     """
     require_int(pulse.ion, "ion", 1, state.n_ions)
-    a, b, top = coupled_pairs(state.amplitudes, pulse, state.n_max)
+    _, _, top = coupled_pairs(ion_axes(state.amplitudes, pulse.ion, state.n_max), pulse.kind)
     leak = float(np.sum(np.abs(top) ** 2))
     if leak > TRUNCATION_ATOL:
         raise TruncationError(
@@ -145,9 +166,22 @@ def apply_pulse(state: RegisterState, pulse: Pulse) -> RegisterState:
             f"{pulse.kind.value} pulse on ion {pulse.ion}: area {pulse.theta!r} "
             f"overflows its rotation angle at n_max={state.n_max}"
         )
-    out = state.amplitudes.copy()
-    out_a, out_b, _ = coupled_pairs(out, pulse, state.n_max)
-    rotate_pairs(a, b, c, s, pulse.phi, out_a, out_b)
+    out = np.empty_like(state.amplitudes)
+    sources = ion_blocks(state.amplitudes, pulse.ion, state.n_max)
+    targets = ion_blocks(out, pulse.ion, state.n_max)
+    workers = block_workers(len(sources))
+    # The first block is the largest; every other block's pairs fit a corner of it.
+    pairs = coupled_pairs(sources[0], pulse.kind)[0].shape
+    scratch = np.empty((workers, 3, *pairs), dtype=out.dtype)
+
+    def rotate_block(worker: int, i: int) -> None:
+        np.copyto(targets[i], sources[i])
+        a, b, _ = coupled_pairs(sources[i], pulse.kind)
+        out_a, out_b, _ = coupled_pairs(targets[i], pulse.kind)
+        corner = scratch[(worker, slice(None), *(slice(n) for n in a.shape))]
+        rotate_pairs(a, b, c, s, pulse.phi, out_a, out_b, corner)
+
+    split_work(rotate_block, len(sources), workers)
     out.setflags(write=False)
     return RegisterState(state.n_ions, state.n_max, out)
 

@@ -13,7 +13,9 @@ index decomposition.
 
 ``basis_shape`` writes this layout once and ``ion_axes`` views it per ion:
 every pulse, the Monte Carlo compile and the stabilizer checks read and
-write amplitudes through that view.
+write amplitudes through that view.  ``ion_blocks`` cuts the same view into
+slab-aligned blocks, and ``split_work`` runs a dense pass over them on up to
+one thread per CPU (``block_workers``).
 """
 
 from __future__ import annotations
@@ -22,10 +24,12 @@ import functools
 import itertools
 import math
 import numbers
+import os
 import reprlib
+import threading
 from dataclasses import dataclass, field
 from enum import IntEnum
-from typing import Iterable, Sequence
+from typing import Callable, Iterable, Sequence
 
 import numpy as np
 
@@ -43,6 +47,15 @@ MAX_AMPLITUDES = 2**24
 #: 1.6 GB of report building at the 0.75 kB a listed amplitude measured for
 #: chain:12 --full at n_max=2, which it admits.
 MAX_REPORT_AMPLITUDES = 2**21
+
+#: Bytes of state one block of a dense pass covers (see ``ion_blocks``).
+BLOCK_BYTES = 1 << 19
+
+#: Fewest blocks one worker thread of a dense pass takes, so a vector of
+#: fewer than twice this many (8 MiB) runs inline on the calling thread:
+#: below that, starting threads and moving the state between the CPUs'
+#: caches cost more than the second CPU saves.
+WORKER_BLOCKS = 8
 
 
 class IonLevel(IntEnum):
@@ -210,32 +223,105 @@ def basis_shape(n_ions: int, n_max: int) -> tuple[int, ...]:
     return (3,) * n_ions + (n_max + 1,)
 
 
-def ion_axes(block: np.ndarray, ion: int, n_max: int) -> np.ndarray:
+def ion_axes(block: np.ndarray, ion: int, n_max: int, last: int | None = None) -> np.ndarray:
     """View of flat basis-ordered ``block``: (earlier ions, ``ion``, later ions, mode).
 
-    Axis 1 is the 1-based ion's level (g, e, e'); writes go to ``block``.
+    Axis 1 is the 1-based ion's level (g, e, e'); with ``last``, ions ``ion``
+    to ``last`` each get a level axis, in order.  Writes go to ``block``.
     """
-    return block.reshape(3 ** (ion - 1), 3, -1, n_max + 1)
+    levels = (3,) * (1 if last is None else last - ion + 1)
+    return block.reshape(3 ** (ion - 1), *levels, -1, n_max + 1)
 
 
-def check_register_size(n_ions: int, n_max: int) -> None:
+def ion_blocks(
+    block: np.ndarray, ion: int, n_max: int, last: int | None = None
+) -> list[np.ndarray]:
+    """``ion_axes(block, ion, n_max, last)`` cut into views of about BLOCK_BYTES.
+
+    A block holds whole slabs of the earlier-ions axis; where one slab is
+    larger than BLOCK_BYTES (ion 1 of a long vector has a single slab), each
+    slab is cut along the later-ions axis instead.  Every level and Fock axis
+    stays whole, so a pass on the view runs block by block unchanged, and
+    equal-sized arrays are cut alike.
+    """
+    axes = ion_axes(block, ion, n_max, last)
+    slab = axes[0].nbytes
+    if slab <= BLOCK_BYTES:
+        rows = BLOCK_BYTES // slab
+        return [axes[i : i + rows] for i in range(0, len(axes), rows)]
+    cols = max(1, BLOCK_BYTES // axes[0, ..., 0, :].nbytes)
+    return [
+        axes[i : i + 1, ..., j : j + cols, :]
+        for i in range(len(axes))
+        for j in range(0, axes.shape[-2], cols)
+    ]
+
+
+def _cpus() -> int:
+    """CPUs this process may run on."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
+def block_workers(blocks: int) -> int:
+    """Workers a pass over ``blocks`` blocks uses: one per CPU, each with WORKER_BLOCKS or more."""
+    return max(1, min(_cpus(), blocks // WORKER_BLOCKS))
+
+
+def split_work(task: Callable[[int, int], object], blocks: int, workers: int) -> None:
+    """Call ``task(worker, block)`` once for each block, on ``workers`` threads.
+
+    Worker w takes the w-th of ``workers`` runs of consecutive blocks, so
+    on every pass over a vector it touches about the same part of memory,
+    which its CPU's cache may still hold.  Worker 0 is the calling thread, so
+    one worker runs inline and starts no thread; the others are started here
+    and all are joined before this returns or raises.  The first exception
+    a worker raised is re-raised in the caller.
+    """
+    errors: list[BaseException] = []
+
+    def work(worker: int) -> None:
+        try:
+            for block in range(worker * blocks // workers, (worker + 1) * blocks // workers):
+                task(worker, block)
+        except BaseException as err:  # handed to the caller below
+            errors.append(err)
+
+    threads = [threading.Thread(target=work, args=(w,)) for w in range(1, workers)]
+    for thread in threads:
+        thread.start()
+    try:
+        work(0)
+    finally:
+        for thread in threads:
+            thread.join()
+    if errors:
+        raise errors[0]
+
+
+def check_register_size(n_ions: int, n_max: int | None = None) -> None:
     """The one shape gate, run before allocating: integers >= 1, MAX_AMPLITUDES cap.
 
     The dimension is the product of ``basis_shape``.  Since 3**n >= 2**n, any
     n_ions of at least MAX_AMPLITUDES.bit_length() is over the cap at every
-    n_max, so 3**n_ions is never formed for an absurd n_ions.
+    n_max, so 3**n_ions is never formed for an absurd n_ions.  Without an
+    ``n_max`` (a pulse program, before any cutoff is chosen) the gate is the
+    smallest cutoff, 1, and its message names that cutoff as the least one.
     """
     n_ions = require_int(n_ions, "n_ions", 1)
-    n_max = require_int(n_max, "n_max", 1)
+    cutoff = 1 if n_max is None else require_int(n_max, "n_max", 1)
     if (
         n_ions >= MAX_AMPLITUDES.bit_length()
-        or math.prod(basis_shape(n_ions, n_max)) > MAX_AMPLITUDES
+        or math.prod(basis_shape(n_ions, cutoff)) > MAX_AMPLITUDES
     ):
         ions = _shown(n_ions)
-        raise ValidationError(
-            f"{ions} ions at n_max={_shown(n_max)} need 3^{ions}*{_shown(n_max + 1)} "
-            f"amplitudes, over the limit of {MAX_AMPLITUDES}"
-        )
+        size = f"3^{ions}*{_shown(cutoff + 1)} amplitudes"
+        if n_max is None:
+            need = f"need {size} even at n_max=1"
+        else:
+            need = f"at n_max={_shown(cutoff)} need {size}"
+        raise ValidationError(f"{ions} ions {need}, over the limit of {MAX_AMPLITUDES}")
 
 
 def new_register(preps: Sequence[IonPrep], n_max: int) -> RegisterState:

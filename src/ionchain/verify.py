@@ -26,11 +26,13 @@ from .register import (
     _shown,
     basis_shape,
     check_register_size,
+    block_workers,
     global_phase_alignment,
     inner_product,
-    ion_axes,
+    ion_blocks,
     mode_population,
     population,
+    split_work,
 )
 
 #: Stabilizer expectations are rejected above this EPRIME population.
@@ -75,7 +77,9 @@ def stabilizer_expectations(state: RegisterState) -> list[float]:
     negates a neighbour's e row and zeroes its e' row.  Raises a
     ValidationError naming the leaking ion if any ion carries more than
     1e-9 population on e' (the operators are only defined on the qubit
-    subspace).
+    subspace).  Those checks and each expectation's ``np.vdot`` read the
+    whole vector on the calling thread; the image K_a|psi> is written block
+    by block (``ion_blocks``), each block on one of ``block_workers`` threads.
     """
     n = state.n_ions
     for ion in range(1, n + 1):
@@ -88,16 +92,16 @@ def stabilizer_expectations(state: RegisterState) -> list[float]:
     values: list[float] = []
     scratch = np.empty_like(state.amplitudes)
     for a in range(1, n + 1):
-        source = ion_axes(state.amplitudes, a, state.n_max)
-        target = ion_axes(scratch, a, state.n_max)
-        target[:, 0] = source[:, 1]
-        target[:, 1] = source[:, 0]
-        target[:, 2] = 0.0
-        for nb in (a - 1, a + 1):
-            if 1 <= nb <= n:
-                target = ion_axes(scratch, nb, state.n_max)
-                np.negative(target[:, 1], out=target[:, 1])
-                target[:, 2] = 0.0
+        # One level axis each for ion a and its neighbours; blocks keep them whole.
+        first, last = max(1, a - 1), min(n, a + 1)
+        sources = ion_blocks(state.amplitudes, first, state.n_max, last)
+        targets = ion_blocks(scratch, first, state.n_max, last)
+        axis = 1 + a - first
+        neighbours = [1 + nb - first for nb in (a - 1, a + 1) if 1 <= nb <= n]
+        split_work(
+            lambda _, i: _stabilizer_image(sources[i], targets[i], axis, neighbours),
+            len(sources), block_workers(len(sources)),
+        )
         value = complex(np.vdot(state.amplitudes, scratch))
         if abs(value.imag) > 1e-10:
             raise ValidationError(
@@ -105,6 +109,23 @@ def stabilizer_expectations(state: RegisterState) -> list[float]:
             )
         values.append(float(value.real))
     return values
+
+
+def _stabilizer_image(source, target, axis: int, neighbours: list[int]) -> None:
+    """Write K_a of the ``source`` block into ``target``: ion a's level is ``axis``.
+
+    X swaps the g and e rows of ion a and zeroes its e' row; each neighbour's
+    Z then negates its e row and zeroes its e' row, in that order.
+    """
+    def level(block, ax, k):
+        return block[(slice(None),) * ax + (k,)]
+
+    level(target, axis, 0)[...] = level(source, axis, 1)
+    level(target, axis, 1)[...] = level(source, axis, 0)
+    level(target, axis, 2)[...] = 0.0
+    for nb in neighbours:
+        np.negative(level(target, nb, 1), out=level(target, nb, 1))
+        level(target, nb, 2)[...] = 0.0
 
 
 def reference_signature(n_qubits: int) -> list[int]:
@@ -145,10 +166,12 @@ def verify_run(state: RegisterState, n_qubits: int) -> VerificationReport:
         raise ValidationError(
             f"state has {state.n_ions} ions, expected {_shown(n_qubits)}"
         )
+    # Before the reference, so its scratch vector is freed before that one exists.
+    stabilizers = tuple(stabilizer_expectations(state))
     ref = reference_cluster(n_qubits, n_max=state.n_max)
     return VerificationReport(
         fidelity=fidelity(state, ref),
-        stabilizer_expectations=tuple(stabilizer_expectations(state)),
+        stabilizer_expectations=stabilizers,
         leakage_eprime=eprime_leakage(state),
         leakage_mode=mode_leakage(state),
         global_phase=global_phase_alignment(ref, state),

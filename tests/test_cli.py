@@ -582,6 +582,28 @@ class TestArguments:
         assert out == ""
         assert err.startswith("error: ") and err.count("\n") == 1
 
+    @pytest.mark.parametrize("flag, value", [
+        ("--trials", "-3"), ("--n-max", "1.5"), ("--seed", "+1"), ("--trials", "1_0"),
+    ])
+    def test_bad_whole_number_names_the_rule(self, capsys, flag, value):
+        code, out, err = run_cli(capsys, "noise", "--protocol", "cluster6", flag, value)
+        assert (code, out) == (2, "")
+        assert err == (
+            f"error: argument {flag}: must be a whole number in ASCII digits, got {value!r}\n"
+        )
+
+    @pytest.mark.parametrize("argv, cutoff", [
+        (("run", "--protocol", "chain:16", "--n-max", "2"), "at n_max=2 need 3^16*3"),
+        (("noise", "--protocol", "chain:15", "--n-max", "4"), "at n_max=4 need 3^15*5"),
+        (("emit", "--protocol", "chain:16"), "need 3^16*2 amplitudes even at n_max=1"),
+        (("run", "--protocol", "chain:16", "--n-max", "0"), "need 3^16*2 amplitudes even"),
+    ])
+    def test_too_long_chain_names_the_cutoff_given(self, capsys, argv, cutoff):
+        code, out, err = run_cli(capsys, *argv)
+        assert (code, out) == (2, "")
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert cutoff in err and "over the limit" in err
+
 
 class TestOut:
     """``--out`` is refused before simulating and written only after the report."""

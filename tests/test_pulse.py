@@ -25,6 +25,7 @@ from ionchain import (
     run,
 )
 from ionchain.pulse import coupled_pairs, pulse_tables
+from ionchain.register import ion_axes
 from conftest import amp, ket, make_random_state, oracle_basis_index, permute_other_ions
 
 INV_SQRT2 = 1.0 / math.sqrt(2.0)
@@ -120,7 +121,7 @@ class TestPulseTables:
 
     @pytest.mark.parametrize("kind", list(PulseKind))
     def test_one_entry_per_fock_row_of_the_pairs(self, kind):
-        a, _, _ = coupled_pairs(np.arange(3 * 4), Pulse(kind, 1, 0.0, 1.0), 3)
+        a, _, _ = coupled_pairs(ion_axes(np.arange(3 * 4), 1, 3), kind)
         c, s = pulse_tables(kind, 1.0, 3)
         assert c.shape == s.shape == a.shape[-1:]
         rows = pulse_tables(kind, np.array([1.0, -2.0]), 3)[0]

@@ -14,11 +14,15 @@ that directory, so the ``run --sequence`` report (which names its file)
 hashes the same for every tree; ``hot.json`` is a one-ion program whose
 third step leaks past ``--n-max 1``, ``carriers.json`` a two-ion program
 that interleaves jittered sidebands with carriers of other than the
-default areas and phases, ``one.json`` one whose only area overflows its
-rotation angle at ``--n-max 5``, ``twice.json`` one that repeats its
-``steps`` field, and ``theta.json`` one whose step repeats its ``theta``
-field.  Comparing two trees is then one ``diff`` of two outputs.  A command that exits with another code stops the
-tool with its exit code and stderr.
+default areas and phases, ``split.json`` an eleven-ion program that puts
+every pulse kind on ions 1, 5 and 10 (a vector large enough that the dense
+passes split along both cut axes onto worker threads; the small programs
+above run inline),
+``one.json`` one whose only area overflows its rotation angle at
+``--n-max 5``, ``twice.json`` one that repeats its ``steps`` field, and
+``theta.json`` one whose step repeats its ``theta`` field.  Comparing two
+trees is then one ``diff`` of two outputs.  A command that exits with
+another code stops the tool with its exit code and stderr.
 """
 
 from __future__ import annotations
@@ -46,6 +50,7 @@ COMMANDS = [
     ["run", "--sequence", "cluster6.json", "--full"],
     ["noise", "--sequence", "carriers.json", "--jitter-sigma", "0.05", "--trials", "200",
      "--seed", "3", "--n-max", "3"],
+    ["run", "--sequence", "split.json", "--n-max", "2", "--snapshots"],
 ]
 
 #: (exit code, argv) of commands that must fail.
@@ -91,6 +96,33 @@ CARRIER_SEQUENCE = {
     ],
 }
 
+_HALF = [{"level": "g", "re": 0.6, "im": 0.0}, {"level": "e", "re": 0.0, "im": 0.8}]
+
+# Every pulse kind on ions 1, 5 and 10 of an 8.5 MB vector (11 ions at
+# --n-max 2: 17 blocks, enough for two worker threads); each g-e' loop and
+# each sideband that lifts the mode to two phonons is undone by its inverse,
+# so no guard fires and no e' population is left for the stabilizers.
+SPLIT_SEQUENCE = {
+    "version": "1",
+    "ions": [[{"level": "e", "re": 1.0, "im": 0.0}]] + [_HALF] * 10,
+    "steps": [
+        {"kind": "carrier", "ion": 5, "phi": 0.2, "theta": 1.1},
+        {"kind": "sideband_ge", "ion": 1, "phi": math.pi, "theta": math.pi / 2},
+        {"kind": "sideband_geprime", "ion": 10, "phi": 0.4, "theta": 2 * math.pi},
+        {"kind": "carrier", "ion": 10, "phi": 2.5, "theta": -0.4},
+        {"kind": "sideband_ge", "ion": 5, "phi": 1.1, "theta": 0.9},
+        {"kind": "sideband_geprime", "ion": 1, "phi": 0.0, "theta": 2 * math.pi},
+        {"kind": "sideband_geprime", "ion": 1, "phi": 0.0, "theta": -2 * math.pi},
+        {"kind": "sideband_ge", "ion": 5, "phi": 1.1, "theta": -0.9},
+        {"kind": "carrier", "ion": 1, "phi": 0.3, "theta": 0.7},
+        {"kind": "carrier", "ion": 10, "phi": -1.0, "theta": 2.2},
+        {"kind": "sideband_ge", "ion": 10, "phi": 0.6, "theta": 1.3},
+        {"kind": "sideband_geprime", "ion": 5, "phi": 1.7, "theta": math.pi},
+        {"kind": "sideband_geprime", "ion": 5, "phi": 1.7, "theta": -math.pi},
+        {"kind": "sideband_ge", "ion": 10, "phi": 0.6, "theta": -1.3},
+    ],
+}
+
 ONE_SEQUENCE = {
     "version": "1",
     "ions": [[{"level": "e", "re": 1.0, "im": 0.0}]],
@@ -117,7 +149,7 @@ def main(argv: list[str]) -> int:
     env = dict(os.environ, PYTHONPATH=os.path.abspath(argv[0]))
     with tempfile.TemporaryDirectory() as cwd:
         for name, doc in (("hot.json", HOT_SEQUENCE), ("carriers.json", CARRIER_SEQUENCE),
-                          ("one.json", ONE_SEQUENCE)):
+                          ("one.json", ONE_SEQUENCE), ("split.json", SPLIT_SEQUENCE)):
             with open(os.path.join(cwd, name), "w", encoding="utf-8") as fh:
                 json.dump(doc, fh)
         for name, text in RAW_TEXTS.items():
