@@ -303,14 +303,7 @@ def _select_sequence(args: argparse.Namespace) -> tuple[PulseSequence, str]:
             n = whole_number(tail)
         except argparse.ArgumentTypeError:
             raise ValidationError(f"bad chain size {tail!r} in --protocol") from None
-        try:
-            return chain_sequence(n), f"chain:{n}"
-        except ValidationError:
-            # A chain too long even at n_max=1: name the cutoff given, if any.
-            n_max = getattr(args, "n_max", 0)
-            if n >= 2 and n_max >= 1:
-                check_register_size(n, n_max)
-            raise
+        return chain_sequence(n), f"chain:{n}"
     raise ValidationError(
         f"unknown protocol {protocol!r}; use cluster6 or chain:N"
     )
@@ -354,7 +347,12 @@ def whole_number(text: str) -> int:
     """Integer flags and ``chain:N``: ASCII digits only; int() also takes signs and _."""
     if not (text.isascii() and text.isdigit()):
         raise argparse.ArgumentTypeError(f"must be a whole number in ASCII digits, got {text!r}")
-    return int(text)
+    try:
+        return int(text)
+    except ValueError:  # past sys.get_int_max_str_digits()
+        raise argparse.ArgumentTypeError(
+            f"must have at most {sys.get_int_max_str_digits()} digits, got {len(text)}"
+        ) from None
 
 
 def real_number(text: str) -> float:

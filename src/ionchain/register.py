@@ -51,7 +51,7 @@ MAX_REPORT_AMPLITUDES = 2**21
 #: Bytes of state one block of a dense pass covers (see ``ion_blocks``).
 BLOCK_BYTES = 1 << 19
 
-#: Fewest blocks one worker thread of a dense pass takes, so a vector of
+#: Blocks a dense pass needs for each worker thread, so a vector of
 #: fewer than twice this many (8 MiB) runs inline on the calling thread:
 #: below that, starting threads and moving the state between the CPUs'
 #: caches cost more than the second CPU saves.
@@ -265,25 +265,27 @@ def _cpus() -> int:
 
 
 def block_workers(blocks: int) -> int:
-    """Workers a pass over ``blocks`` blocks uses: one per CPU, each with WORKER_BLOCKS or more."""
+    """Workers a pass over ``blocks`` blocks uses: one per CPU, at most one per WORKER_BLOCKS."""
     return max(1, min(_cpus(), blocks // WORKER_BLOCKS))
 
 
 def split_work(task: Callable[[int, int], object], blocks: int, workers: int) -> None:
     """Call ``task(worker, block)`` once for each block, on ``workers`` threads.
 
-    Worker w takes the w-th of ``workers`` runs of consecutive blocks, so
-    on every pass over a vector it touches about the same part of memory,
-    which its CPU's cache may still hold.  Worker 0 is the calling thread, so
-    one worker runs inline and starts no thread; the others are started here
-    and all are joined before this returns or raises.  The first exception
-    a worker raised is re-raised in the caller.
+    Each worker claims the next unclaimed block until none is left, so a
+    worker whose CPU is shared (with OpenBLAS threads still spinning after a
+    BLAS call, or another process) takes fewer blocks instead of holding the
+    others up.  Worker 0 is the calling thread, so one worker runs inline
+    and starts no thread; the others are started here and all are joined
+    before this returns or raises.  The first exception a worker raised is
+    re-raised in the caller.
     """
     errors: list[BaseException] = []
+    claim = itertools.count()  # next() on it is atomic under the GIL
 
     def work(worker: int) -> None:
         try:
-            for block in range(worker * blocks // workers, (worker + 1) * blocks // workers):
+            while (block := next(claim)) < blocks:
                 task(worker, block)
         except BaseException as err:  # handed to the caller below
             errors.append(err)

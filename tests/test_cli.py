@@ -142,7 +142,8 @@ class TestEmit:
 
     def test_bad_chain_size_exits_2(self, capsys):
         # Only ASCII digits name a chain size: int() would take the others.
-        for tail in ["one", "", " 6", "+6", "-6", "1_0", " +1_0", "٦", "６", "6.0"]:
+        # int() also refuses a digit string past sys.get_int_max_str_digits().
+        for tail in ["one", "", " 6", "+6", "-6", "1_0", " +1_0", "٦", "６", "6.0", "9" * 5000]:
             code, out, err = run_cli(capsys, "emit", "--protocol", "chain:" + tail)
             assert code == 2, tail
             assert out == ""
@@ -582,23 +583,23 @@ class TestArguments:
         assert out == ""
         assert err.startswith("error: ") and err.count("\n") == 1
 
-    @pytest.mark.parametrize("flag, value", [
-        ("--trials", "-3"), ("--n-max", "1.5"), ("--seed", "+1"), ("--trials", "1_0"),
+    @pytest.mark.parametrize("flag, value, rule", [
+        *[(flag, value, f"must be a whole number in ASCII digits, got {value!r}")
+          for flag, value in [("--trials", "-3"), ("--n-max", "1.5"), ("--seed", "+1"), ("--trials", "1_0")]],
+        ("--trials", "9" * 5000, f"must have at most {sys.get_int_max_str_digits()} digits, got 5000"),
     ])
-    def test_bad_whole_number_names_the_rule(self, capsys, flag, value):
+    def test_bad_whole_number_names_the_rule(self, capsys, flag, value, rule):
         code, out, err = run_cli(capsys, "noise", "--protocol", "cluster6", flag, value)
         assert (code, out) == (2, "")
-        assert err == (
-            f"error: argument {flag}: must be a whole number in ASCII digits, got {value!r}\n"
-        )
+        assert err == f"error: argument {flag}: {rule}\n"
 
     @pytest.mark.parametrize("argv, cutoff", [
-        (("run", "--protocol", "chain:16", "--n-max", "2"), "at n_max=2 need 3^16*3"),
-        (("noise", "--protocol", "chain:15", "--n-max", "4"), "at n_max=4 need 3^15*5"),
+        (("run", "--protocol", "chain:16", "--n-max", "2"), "need 3^16*2 amplitudes even at n_max=1"),
+        (("noise", "--protocol", "chain:15", "--n-max", "4"), "need 3^15*2 amplitudes even at n_max=1"),
         (("emit", "--protocol", "chain:16"), "need 3^16*2 amplitudes even at n_max=1"),
         (("run", "--protocol", "chain:16", "--n-max", "0"), "need 3^16*2 amplitudes even"),
     ])
-    def test_too_long_chain_names_the_cutoff_given(self, capsys, argv, cutoff):
+    def test_too_long_chain_names_no_cutoff_the_user_did_not_give(self, capsys, argv, cutoff):
         code, out, err = run_cli(capsys, *argv)
         assert (code, out) == (2, "")
         assert err.startswith("error: ") and err.count("\n") == 1

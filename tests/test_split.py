@@ -2,7 +2,7 @@
 
 ``apply_pulse`` and ``stabilizer_expectations`` cut the state into
 slab-aligned blocks of ``register.BLOCK_BYTES`` and run them on up to one
-thread per CPU, each thread taking at least ``register.WORKER_BLOCKS``.
+thread per CPU, at most one per ``register.WORKER_BLOCKS`` blocks.
 The block size, the CPU count (``register._cpus``) and that floor are
 patched here to force a few dozen amplitudes a block and one or three
 workers, and every result is compared by its bytes with the default,
@@ -15,6 +15,7 @@ from __future__ import annotations
 import contextlib
 import math
 import threading
+import time
 from unittest import mock
 
 import numpy as np
@@ -177,6 +178,7 @@ def test_forced_split_runs_on_three_threads():
     def recorded(*args):
         threads.add(threading.get_ident())
         kernel(*args)
+        time.sleep(1e-3)  # release the GIL, so the started workers claim blocks too
 
     with split(SMALL_BLOCK, 3), mock.patch.object(pulse, "rotate_pairs", recorded):
         run(chain_sequence(6), 2)
