@@ -360,9 +360,14 @@ def real_number(text: str) -> float:
 
     ``nan`` and ``inf`` pass here and are refused, by name, where the value is used.
     """
-    if not text.isascii() or "_" in text or text != text.strip():
-        raise ValueError(text)
-    return float(text)
+    try:
+        if text.isascii() and "_" not in text and text == text.strip():
+            return float(text)
+    except ValueError:
+        pass
+    raise argparse.ArgumentTypeError(
+        f"must be a real number in ASCII without spaces or _, got {text!r}"
+    )
 
 
 class _Parser(argparse.ArgumentParser):

@@ -14,6 +14,8 @@ so the basis states a program can populate follow from its initial support
 and pulse pattern, whatever the areas.  The program is compiled once into
 index pairs over those states (262 of 3,645 for the six-ion program at
 n_max=4), and batches of trials step through it as (support, trials) arrays.
+A batch is as many trials as one ``register.BLOCK_BYTES`` block of a dense
+pass holds (16 bytes per trial and reachable state): 125 for that program.
 """
 
 from __future__ import annotations
@@ -23,6 +25,7 @@ from typing import NamedTuple
 
 import numpy as np
 
+from . import register
 from .errors import TruncationError, ValidationError, prefixed
 from .protocol import PulseSequence, run
 from .pulse import (
@@ -34,10 +37,6 @@ from .pulse import (
     rotate_pairs,
 )
 from .register import MAX_AMPLITUDES, ion_axes, new_register, require_int, require_real
-
-#: Compact amplitudes one batch of trials may hold (16 bytes per trial and
-#: reachable state): 62 trials of the six-ion program's 262 states.
-BATCH_BYTES = 1 << 18
 
 
 @dataclass(frozen=True)
@@ -94,11 +93,6 @@ def fidelity_estimate(
     # F**(2**64) is already 0.0 for every float F < 1, and a larger int
     # exponent would overflow its conversion to float.
     return float(fidelity ** min(k, 2**64))
-
-
-def batch_trials(support_size: int, trials: int) -> int:
-    """Trials per batch: as many support-sized columns as BATCH_BYTES holds, >= 1."""
-    return max(1, min(trials, BATCH_BYTES // (16 * support_size)))
 
 
 class _Step(NamedTuple):
@@ -168,10 +162,9 @@ def _evolve(
         pairs = amps[step.pairs]
         half = len(pairs) // 2
         out = buffer[: pairs.size].reshape(pairs.shape)
-        scratch = buffer[pairs.size : 5 * half * trials].reshape(3, half, trials)
         rotate_pairs(
             pairs[:half], pairs[half:], c.T[step.rows], s.T[step.rows],
-            step.pulse.phi, out[:half], out[half:], scratch,
+            step.pulse.phi, out[:half], out[half:], buffer[pairs.size :],
         )
         amps[step.pairs] = out
     return replay
@@ -197,8 +190,9 @@ def monte_carlo(
     ideal run, one compile of the pulse pattern into index pairs, then per
     batch a (support, trials) complex array that every step gathers, rotates
     and scatters in place.  Memory is bounded by the dense ideal state and
-    the compile's dense index arrays, plus a batch of at most BATCH_BYTES
-    (256 KiB) and one buffer for its per-step outputs and scratch, whatever
+    the compile's dense index arrays, plus a batch of at most one
+    ``register.BLOCK_BYTES`` block (512 KiB; one trial if a single trial is
+    larger) and one buffer for its per-step outputs and scratch, whatever
     the trial count.  Each sample is scored against the dense ideal state
     through one reused dense row, so it is bitwise the fidelity a dense run
     of the trial would give.
@@ -223,7 +217,7 @@ def monte_carlo(
     support, steps = _compile(seq, initial, n_max)
     areas = np.array([step.theta for step in seq.steps])
     jittered = np.array([step.kind in SIDEBAND_KINDS for step in seq.steps], dtype=bool)
-    batch = batch_trials(support.size, cfg.trials)
+    batch = max(1, register.BLOCK_BYTES // (16 * support.size))
     rng = np.random.default_rng(cfg.seed)
     samples = np.empty(cfg.trials, dtype=np.float64)
     start_amps = initial[support]

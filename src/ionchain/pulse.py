@@ -116,11 +116,12 @@ def pulse_tables(kind: PulseKind, theta, n_max: int) -> tuple[np.ndarray, np.nda
         return np.cos(half), np.sin(half)
 
 
-def rotate_pairs(a, b, c, s, phi: float, out_a, out_b, scratch) -> None:
+def rotate_pairs(a, b, c, s, phi: float, out_a, out_b, work) -> None:
     """Write the closed-form pulse on coupled amplitude pairs (a, b).
 
     Sets ``out_a = c*a - e^{+i phi} s*b`` and ``out_b = c*b + e^{-i phi} s*a``;
-    no output may overlap an input.  ``scratch`` holds three complex arrays
+    no output may overlap an input.  ``work`` is a flat complex buffer of at
+    least three times ``a.size``, whose head holds three contiguous arrays
     of the pairs' shape for the partial products, so the call allocates
     nothing and may run on any thread; none is computed in place, because
     numpy rounds a one-element complex product in place without the fused
@@ -130,7 +131,7 @@ def rotate_pairs(a, b, c, s, phi: float, out_a, out_b, scratch) -> None:
     """
     e_plus = np.exp(1j * phi)
     e_minus = np.exp(-1j * phi)
-    first, second, third = scratch
+    first, second, third = work[: 3 * a.size].reshape(3, *a.shape)
     np.multiply(c, a, out=first)
     np.multiply(s, b, out=second)
     np.multiply(e_plus, second, out=third)
@@ -149,7 +150,7 @@ def apply_pulse(state: RegisterState, pulse: Pulse) -> RegisterState:
     raises ValidationError when its area overflows a rotation angle.  Both
     checks read the whole vector on the calling thread; the copy into the
     new buffer and the rotation then run block by block (``ion_blocks``),
-    each block on one of ``block_workers`` threads with its own scratch.
+    each block on one of ``block_workers`` threads with its own work buffer.
     """
     require_int(pulse.ion, "ion", 1, state.n_ions)
     _, _, top = coupled_pairs(ion_axes(state.amplitudes, pulse.ion, state.n_max), pulse.kind)
@@ -170,16 +171,14 @@ def apply_pulse(state: RegisterState, pulse: Pulse) -> RegisterState:
     sources = ion_blocks(state.amplitudes, pulse.ion, state.n_max)
     targets = ion_blocks(out, pulse.ion, state.n_max)
     workers = block_workers(len(sources))
-    # The first block is the largest; every other block's pairs fit a corner of it.
-    pairs = coupled_pairs(sources[0], pulse.kind)[0].shape
-    scratch = np.empty((workers, 3, *pairs), dtype=out.dtype)
+    # The first block is the largest, and a block holds at least three times its pairs.
+    work = np.empty((workers, sources[0].size), dtype=out.dtype)
 
     def rotate_block(worker: int, i: int) -> None:
         np.copyto(targets[i], sources[i])
         a, b, _ = coupled_pairs(sources[i], pulse.kind)
         out_a, out_b, _ = coupled_pairs(targets[i], pulse.kind)
-        corner = scratch[(worker, slice(None), *(slice(n) for n in a.shape))]
-        rotate_pairs(a, b, c, s, pulse.phi, out_a, out_b, corner)
+        rotate_pairs(a, b, c, s, pulse.phi, out_a, out_b, work[worker])
 
     split_work(rotate_block, len(sources), workers)
     out.setflags(write=False)

@@ -593,6 +593,20 @@ class TestArguments:
         assert (code, out) == (2, "")
         assert err == f"error: argument {flag}: {rule}\n"
 
+    @pytest.mark.parametrize("argv", [
+        ("run", "--per-pulse-fidelity", "x"),
+        # float() alone reads these as 0.1, 0.9 and 0.01.
+        ("noise", "--jitter-sigma", "1_0e-2"),
+        ("noise", "--jitter-sigma", "\u0660.\u0669"),
+        ("noise", "--jitter-sigma", " 0.01"),
+    ])
+    def test_bad_real_number_names_the_rule(self, capsys, argv):
+        command, flag, value = argv
+        code, out, err = run_cli(capsys, command, "--protocol", "cluster6", flag, value)
+        assert (code, out) == (2, "")
+        rule = f"must be a real number in ASCII without spaces or _, got {value!r}"
+        assert err == f"error: argument {flag}: {rule}\n"
+
     @pytest.mark.parametrize("argv, cutoff", [
         (("run", "--protocol", "chain:16", "--n-max", "2"), "need 3^16*2 amplitudes even at n_max=1"),
         (("noise", "--protocol", "chain:15", "--n-max", "4"), "need 3^15*2 amplitudes even at n_max=1"),

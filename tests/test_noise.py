@@ -28,9 +28,10 @@ from ionchain import (
     new_register,
     run,
 )
+from ionchain import noise, register
 from ionchain.cli import load_sequence
 from ionchain.errors import prefixed
-from ionchain.noise import BATCH_BYTES, _compile, batch_trials
+from ionchain.noise import _compile
 from ionchain.register import MAX_AMPLITUDES
 
 # Frozen on first computation: cluster6, sigma=0.02, trials=1000, seed=1,
@@ -251,6 +252,42 @@ def assert_parity(seq: PulseSequence, cfg: NoiseConfig, n_max: int) -> str:
     return kind
 
 
+def support_size(seq: PulseSequence, n_max: int) -> int:
+    """Basis states ``seq`` can reach at ``n_max``, whatever the areas."""
+    support, _ = _compile(seq, new_register(list(seq.preps), n_max).amplitudes, n_max)
+    return support.size
+
+
+def batch_sizes(monkeypatch, seq: PulseSequence, cfg: NoiseConfig, n_max: int) -> list[int]:
+    """Trials in each batch ``monte_carlo`` evolves, in order."""
+    sizes = []
+    evolve = noise._evolve
+
+    def recorded(amps, *args):
+        sizes.append(amps.shape[1])
+        return evolve(amps, *args)
+
+    with monkeypatch.context() as patched:
+        patched.setattr(noise, "_evolve", recorded)
+        monte_carlo(seq, cfg, n_max=n_max)
+    return sizes
+
+
+# The two-ion program of tools/report_hashes.py's carriers.json: jittered
+# sidebands interleaved with carriers of other than the default areas and phases.
+CARRIER_PROGRAM = PulseSequence(
+    (IonPrep.basis(IonLevel.E), IonPrep([(IonLevel.G, 0.6), (IonLevel.E, 0.8j)])),
+    (
+        half_sideband(1),
+        carrier(2, 1.1, 0.2),
+        Pulse(PulseKind.SIDEBAND_GEPRIME, 2, 0.0, 2 * math.pi),
+        carrier(1, -0.4, 2.5),
+        Pulse(PulseKind.SIDEBAND_GE, 2, 0.0, math.pi),
+        Pulse(PulseKind.SIDEBAND_GE, 1, math.pi, math.pi),
+    ),
+)
+
+
 class TestBatchedParity:
     @pytest.mark.parametrize("seed", [0, 1, 7])
     @pytest.mark.parametrize("sigma", [0.005, 0.05])
@@ -258,14 +295,13 @@ class TestBatchedParity:
         cfg = NoiseConfig(jitter_sigma=sigma, trials=70, seed=seed)
         assert assert_parity(cluster6_sequence(), cfg, n_max=4) == "samples"
 
-    def test_cluster6_support_and_batch(self):
-        # 262 of 3,645 states are reachable under any jitter: 62 trials a batch.
-        seq = cluster6_sequence()
-        support, _ = _compile(seq, new_register(list(seq.preps), 4).amplitudes, 4)
-        assert support.size == 262
-        assert batch_trials(support.size, 1000) == 62
+    def test_cluster6_support_and_batch(self, monkeypatch):
+        # 262 of 3,645 states are reachable under any jitter: 125 trials a batch.
+        assert support_size(cluster6_sequence(), 4) == 262
+        cfg = NoiseConfig(jitter_sigma=0.02, trials=1000, seed=1)
+        assert batch_sizes(monkeypatch, cluster6_sequence(), cfg, 4) == [125] * 8
 
-    @pytest.mark.parametrize("trials", [1, 61, 62, 63, 129])
+    @pytest.mark.parametrize("trials", [1, 124, 125, 126, 251])
     def test_trial_counts_around_the_batch_size(self, trials):
         cfg = NoiseConfig(jitter_sigma=0.02, trials=trials, seed=3)
         assert assert_parity(cluster6_sequence(), cfg, n_max=4) == "samples"
@@ -320,14 +356,33 @@ class TestBatchedParity:
             cfg = NoiseConfig(jitter_sigma=1e308, trials=200, seed=seed)
             assert assert_parity(seq, cfg, n_max=1) == "validation"
 
-    def test_batch_size_arithmetic(self):
-        assert BATCH_BYTES == 256 * 1024
-        assert batch_trials(262, 1000) == 62
-        assert 16 * 262 * 62 <= BATCH_BYTES < 16 * 262 * 63
-        assert batch_trials(262, 10) == 10
-        assert batch_trials(1, 10**9) == BATCH_BYTES // 16
-        assert batch_trials(10_886, 1000) == 1  # chain:10's support: 174 KB a row
-        assert batch_trials(3**20 * 5, 7) == 1  # never zero, however large
+    def test_batch_size_arithmetic(self, monkeypatch):
+        # A batch is as many support-sized trial columns as one dense block holds.
+        assert 16 * 262 * 125 <= register.BLOCK_BYTES < 16 * 262 * 126
+        cfg = NoiseConfig(jitter_sigma=0.02, trials=10, seed=1)
+        assert batch_sizes(monkeypatch, cluster6_sequence(), cfg, 4) == [10]
+        # chain:10's support at n_max 5 is 10,886 states, 174 KB a trial.
+        assert support_size(chain_sequence(10), 5) == 10_886
+        cfg = NoiseConfig(jitter_sigma=0.02, trials=7, seed=1)
+        assert batch_sizes(monkeypatch, chain_sequence(10), cfg, 5) == [3, 3, 1]
+        # Never zero, however large a trial is against the block.
+        monkeypatch.setattr(register, "BLOCK_BYTES", 16 * 262 - 1)
+        cfg = NoiseConfig(jitter_sigma=0.02, trials=4, seed=1)
+        assert batch_sizes(monkeypatch, cluster6_sequence(), cfg, 4) == [1] * 4
+
+    @pytest.mark.parametrize("seq, n_max, sigma", [
+        (cluster6_sequence(), 4, 0.02),
+        (CARRIER_PROGRAM, 3, 0.05),
+    ], ids=["cluster6", "carriers"])
+    def test_samples_do_not_depend_on_the_batch_size(self, monkeypatch, seq, n_max, sigma):
+        cfg = NoiseConfig(jitter_sigma=sigma, trials=200, seed=3)
+        block = 16 * support_size(seq, n_max)
+        outcomes = [monte_carlo(seq, cfg, n_max=n_max).samples.tobytes()]
+        for per_batch in (1, 3):
+            with monkeypatch.context() as patched:
+                patched.setattr(register, "BLOCK_BYTES", block * per_batch)
+                outcomes.append(monte_carlo(seq, cfg, n_max=n_max).samples.tobytes())
+        assert outcomes[1] == outcomes[0] and outcomes[2] == outcomes[0]
 
 
 # ---------------------------------------------------------------------------
@@ -375,7 +430,7 @@ class TestFailureReplay:
     def test_replays_that_pass_leave_later_batches_alone(self, monkeypatch):
         # Three trials a batch, so flagged rows fall in every batch.
         monkeypatch.setattr("ionchain.noise.TRUNCATION_ATOL", 1e-15)
-        monkeypatch.setattr("ionchain.noise.batch_trials", lambda support, trials: 3)
+        monkeypatch.setattr(register, "BLOCK_BYTES", 16 * support_size(cluster6_sequence(), 2) * 3)
         cfg = NoiseConfig(jitter_sigma=2e-6, trials=20, seed=1)
         samples = monte_carlo(cluster6_sequence(), cfg, n_max=2).samples
         assert np.array_equal(samples, trialwise(cluster6_sequence(), cfg, 2))

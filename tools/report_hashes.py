@@ -6,7 +6,10 @@ Usage::
 
 ``SRC_DIR`` is the directory that holds the ``ionchain`` package (``src`` in
 a checkout).  Each command runs as ``python -m ionchain.cli ARGV`` with
-``PYTHONPATH=SRC_DIR`` in a fresh temporary working directory.  A command
+``PYTHONPATH=SRC_DIR`` and ``OPENBLAS_NUM_THREADS=1`` in a fresh temporary
+working directory: past about 10,000 amplitudes ``np.vdot`` and
+``np.linalg.norm`` round differently on another BLAS thread count, so the
+pin keeps the lines the same on hosts with any number of CPUs.  A command
 that must succeed prints ``sha256(stdout)[:16]  argv``; one that must fail
 prints ``sha256(stderr)[:16]  exit N  argv``, pinning its one-line reason.
 The sequence file is emitted to the fixed relative name ``cluster6.json`` in
@@ -51,6 +54,10 @@ COMMANDS = [
     ["noise", "--sequence", "carriers.json", "--jitter-sigma", "0.05", "--trials", "200",
      "--seed", "3", "--n-max", "3"],
     ["run", "--sequence", "split.json", "--n-max", "2", "--snapshots"],
+    # 10,886 reachable states, so a Monte Carlo batch holds few trials, and a
+    # 354,294-amplitude scoring row.
+    ["noise", "--protocol", "chain:10", "--jitter-sigma", "0.02", "--trials", "20",
+     "--seed", "1", "--n-max", "5"],
 ]
 
 #: (exit code, argv) of commands that must fail.
@@ -146,7 +153,7 @@ def main(argv: list[str]) -> int:
     if len(argv) != 1:
         print("usage: python3 tools/report_hashes.py SRC_DIR", file=sys.stderr)
         return 2
-    env = dict(os.environ, PYTHONPATH=os.path.abspath(argv[0]))
+    env = dict(os.environ, PYTHONPATH=os.path.abspath(argv[0]), OPENBLAS_NUM_THREADS="1")
     with tempfile.TemporaryDirectory() as cwd:
         for name, doc in (("hot.json", HOT_SEQUENCE), ("carriers.json", CARRIER_SEQUENCE),
                           ("one.json", ONE_SEQUENCE), ("split.json", SPLIT_SEQUENCE)):
