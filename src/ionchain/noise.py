@@ -58,7 +58,7 @@ class NoiseConfig:
         if sigma < 0.0:
             raise ValidationError(f"jitter_sigma must be >= 0, got {sigma!r}")
         checked = {
-            "jitter_sigma": sigma,
+            "jitter_sigma": abs(sigma),  # -0.0 passes the check; numpy refuses its sign bit
             "trials": require_int(self.trials, "trials", 1, MAX_AMPLITUDES),
             "seed": require_int(self.seed, "seed", 0),
         }

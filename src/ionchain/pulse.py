@@ -42,12 +42,10 @@ from .errors import TruncationError, ValidationError
 from .register import (
     IonLevel,
     RegisterState,
-    block_workers,
+    blockwise,
     ion_axes,
-    ion_blocks,
     require_int,
     require_real,
-    split_work,
 )
 
 #: A sideband pulse aborts when the top coupled component carries more
@@ -149,8 +147,8 @@ def apply_pulse(state: RegisterState, pulse: Pulse) -> RegisterState:
     state carries more than 1e-12 probability on |x, n_max>, and any pulse
     raises ValidationError when its area overflows a rotation angle.  Both
     checks read the whole vector on the calling thread; the copy into the
-    new buffer and the rotation then run block by block (``ion_blocks``),
-    each block on one of ``block_workers`` threads with its own work buffer.
+    new buffer and the rotation then run block by block on all CPUs
+    (``blockwise``), each worker with its own scratch.
     """
     require_int(pulse.ion, "ion", 1, state.n_ions)
     _, _, top = coupled_pairs(ion_axes(state.amplitudes, pulse.ion, state.n_max), pulse.kind)
@@ -168,19 +166,14 @@ def apply_pulse(state: RegisterState, pulse: Pulse) -> RegisterState:
             f"overflows its rotation angle at n_max={state.n_max}"
         )
     out = np.empty_like(state.amplitudes)
-    sources = ion_blocks(state.amplitudes, pulse.ion, state.n_max)
-    targets = ion_blocks(out, pulse.ion, state.n_max)
-    workers = block_workers(len(sources))
-    # The first block is the largest, and a block holds at least three times its pairs.
-    work = np.empty((workers, sources[0].size), dtype=out.dtype)
 
-    def rotate_block(worker: int, i: int) -> None:
-        np.copyto(targets[i], sources[i])
-        a, b, _ = coupled_pairs(sources[i], pulse.kind)
-        out_a, out_b, _ = coupled_pairs(targets[i], pulse.kind)
-        rotate_pairs(a, b, c, s, pulse.phi, out_a, out_b, work[worker])
+    def rotate_block(source, target, work) -> None:
+        np.copyto(target, source)
+        a, b, _ = coupled_pairs(source, pulse.kind)
+        out_a, out_b, _ = coupled_pairs(target, pulse.kind)
+        rotate_pairs(a, b, c, s, pulse.phi, out_a, out_b, work)
 
-    split_work(rotate_block, len(sources), workers)
+    blockwise(rotate_block, state.amplitudes, out, pulse.ion, state.n_max)
     out.setflags(write=False)
     return RegisterState(state.n_ions, state.n_max, out)
 

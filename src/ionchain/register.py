@@ -13,9 +13,9 @@ index decomposition.
 
 ``basis_shape`` writes this layout once and ``ion_axes`` views it per ion:
 every pulse, the Monte Carlo compile and the stabilizer checks read and
-write amplitudes through that view.  ``ion_blocks`` cuts the same view into
-slab-aligned blocks, and ``split_work`` runs a dense pass over them on up to
-one thread per CPU (``block_workers``).
+write amplitudes through that view.  ``blockwise`` runs a dense pass over
+the slab-aligned blocks that ``ion_blocks`` cuts the same view into, on up
+to one thread per CPU, each with its own scratch.
 """
 
 from __future__ import annotations
@@ -238,21 +238,18 @@ def ion_blocks(
 ) -> list[np.ndarray]:
     """``ion_axes(block, ion, n_max, last)`` cut into views of about BLOCK_BYTES.
 
-    A block holds whole slabs of the earlier-ions axis; where one slab is
-    larger than BLOCK_BYTES (ion 1 of a long vector has a single slab), each
-    slab is cut along the later-ions axis instead.  Every level and Fock axis
-    stays whole, so a pass on the view runs block by block unchanged, and
-    equal-sized arrays are cut alike.
+    A block holds as many whole slabs of the earlier-ions axis as fit in
+    BLOCK_BYTES, at least one, and as much of the later-ions axis as fits:
+    all of it unless one slab is larger (ion 1 of a long vector has a single
+    slab).  Every level and Fock axis stays whole, so a pass on the view
+    runs block by block unchanged, and equal-sized arrays are cut alike.
     """
     axes = ion_axes(block, ion, n_max, last)
-    slab = axes[0].nbytes
-    if slab <= BLOCK_BYTES:
-        rows = BLOCK_BYTES // slab
-        return [axes[i : i + rows] for i in range(0, len(axes), rows)]
+    rows = max(1, BLOCK_BYTES // axes[0].nbytes)
     cols = max(1, BLOCK_BYTES // axes[0, ..., 0, :].nbytes)
     return [
-        axes[i : i + 1, ..., j : j + cols, :]
-        for i in range(len(axes))
+        axes[i : i + rows, ..., j : j + cols, :]
+        for i in range(0, len(axes), rows)
         for j in range(0, axes.shape[-2], cols)
     ]
 
@@ -264,37 +261,41 @@ def _cpus() -> int:
     return os.cpu_count() or 1
 
 
-def block_workers(blocks: int) -> int:
-    """Workers a pass over ``blocks`` blocks uses: one per CPU, at most one per WORKER_BLOCKS."""
-    return max(1, min(_cpus(), blocks // WORKER_BLOCKS))
+def blockwise(
+    task: Callable[[np.ndarray, np.ndarray, np.ndarray], object],
+    source: np.ndarray, target: np.ndarray, ion: int, n_max: int, last: int | None = None,
+) -> None:
+    """Call ``task(source_block, target_block, work)`` for each ``ion_blocks`` pair.
 
-
-def split_work(task: Callable[[int, int], object], blocks: int, workers: int) -> None:
-    """Call ``task(worker, block)`` once for each block, on ``workers`` threads.
-
-    Each worker claims the next unclaimed block until none is left, so a
-    worker whose CPU is shared (with OpenBLAS threads still spinning after a
-    BLAS call, or another process) takes fewer blocks instead of holding the
-    others up.  Worker 0 is the calling thread, so one worker runs inline
-    and starts no thread; the others are started here and all are joined
-    before this returns or raises.  The first exception a worker raised is
-    re-raised in the caller.
+    Both flat vectors are cut alike, and ``work`` is the worker's flat
+    scratch, as large as the first (largest) block.  A pass uses one worker
+    per CPU, at most one per WORKER_BLOCKS blocks.  Each worker claims the
+    next unclaimed block until none is left, so a worker whose CPU is shared
+    (with OpenBLAS threads still spinning after a BLAS call, or another
+    process) takes fewer blocks instead of holding the others up.  Worker 0
+    is the calling thread, so one worker runs inline and starts no thread;
+    the others are started here and all are joined before this returns or
+    raises.  The first exception a worker raised is re-raised in the caller.
     """
+    sources = ion_blocks(source, ion, n_max, last)
+    targets = ion_blocks(target, ion, n_max, last)
+    workers = max(1, min(_cpus(), len(sources) // WORKER_BLOCKS))
+    work = np.empty((workers, sources[0].size), dtype=source.dtype)
     errors: list[BaseException] = []
     claim = itertools.count()  # next() on it is atomic under the GIL
 
-    def work(worker: int) -> None:
+    def run(worker: int) -> None:
         try:
-            while (block := next(claim)) < blocks:
-                task(worker, block)
+            while (i := next(claim)) < len(sources):
+                task(sources[i], targets[i], work[worker])
         except BaseException as err:  # handed to the caller below
             errors.append(err)
 
-    threads = [threading.Thread(target=work, args=(w,)) for w in range(1, workers)]
+    threads = [threading.Thread(target=run, args=(w,)) for w in range(1, workers)]
     for thread in threads:
         thread.start()
     try:
-        work(0)
+        run(0)
     finally:
         for thread in threads:
             thread.join()

@@ -25,14 +25,12 @@ from .register import (
     RegisterState,
     _shown,
     basis_shape,
+    blockwise,
     check_register_size,
-    block_workers,
     global_phase_alignment,
     inner_product,
-    ion_blocks,
     mode_population,
     population,
-    split_work,
 )
 
 #: Stabilizer expectations are rejected above this EPRIME population.
@@ -79,7 +77,7 @@ def stabilizer_expectations(state: RegisterState) -> list[float]:
     1e-9 population on e' (the operators are only defined on the qubit
     subspace).  Those checks and each expectation's ``np.vdot`` read the
     whole vector on the calling thread; the image K_a|psi> is written block
-    by block (``ion_blocks``), each block on one of ``block_workers`` threads.
+    by block (``blockwise``).
     """
     n = state.n_ions
     for ion in range(1, n + 1):
@@ -94,13 +92,11 @@ def stabilizer_expectations(state: RegisterState) -> list[float]:
     for a in range(1, n + 1):
         # One level axis each for ion a and its neighbours; blocks keep them whole.
         first, last = max(1, a - 1), min(n, a + 1)
-        sources = ion_blocks(state.amplitudes, first, state.n_max, last)
-        targets = ion_blocks(scratch, first, state.n_max, last)
         axis = 1 + a - first
         neighbours = [1 + nb - first for nb in (a - 1, a + 1) if 1 <= nb <= n]
-        split_work(
-            lambda _, i: _stabilizer_image(sources[i], targets[i], axis, neighbours),
-            len(sources), block_workers(len(sources)),
+        blockwise(
+            lambda source, target, _: _stabilizer_image(source, target, axis, neighbours),
+            state.amplitudes, scratch, first, state.n_max, last,
         )
         value = complex(np.vdot(state.amplitudes, scratch))
         if abs(value.imag) > 1e-10:

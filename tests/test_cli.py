@@ -454,6 +454,13 @@ class TestNoise:
         assert doc["std_error"] == 0.0
         assert len(doc["samples"]) == 10
 
+    @pytest.mark.parametrize("sigma", ["-0.0", "-0"])
+    def test_negative_zero_sigma_runs_as_zero(self, capsys, sigma):
+        argv = ["noise", "--protocol", "cluster6", "--trials", "3", "--jitter-sigma"]
+        zero = run_cli(capsys, *argv, "0")
+        assert zero[0] == 0
+        assert run_cli(capsys, *argv, sigma) == zero
+
     def test_estimate_block_present(self, capsys):
         code, out, _ = run_cli(
             capsys, "noise", "--protocol", "cluster6",

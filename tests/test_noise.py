@@ -113,6 +113,10 @@ class TestNoiseConfig:
         assert NoiseConfig(trials=MAX_AMPLITUDES, seed=0).trials == MAX_AMPLITUDES
         assert NoiseConfig(seed=np.int64(3), trials=np.int64(2)).seed == 3
 
+    def test_negative_zero_sigma_is_stored_positive(self):
+        sigma = NoiseConfig(jitter_sigma=-0.0).jitter_sigma
+        assert sigma == 0.0 and math.copysign(1.0, sigma) == 1.0
+
     @pytest.mark.parametrize("sigma", [math.nan, math.inf, -math.inf])
     def test_rejects_non_finite_sigma(self, sigma):
         with pytest.raises(ValidationError, match="jitter_sigma"):

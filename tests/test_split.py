@@ -1,8 +1,9 @@
 """Dense passes split into blocks on worker threads stay bitwise the whole-vector pass.
 
-``apply_pulse`` and ``stabilizer_expectations`` cut the state into
-slab-aligned blocks of ``register.BLOCK_BYTES`` and run them on up to one
-thread per CPU, at most one per ``register.WORKER_BLOCKS`` blocks.
+``apply_pulse`` and ``stabilizer_expectations`` each make one
+``register.blockwise`` call, which cuts the state into slab-aligned blocks
+of ``register.BLOCK_BYTES`` and runs them on up to one thread per CPU, at
+most one per ``register.WORKER_BLOCKS`` blocks.
 The block size, the CPU count (``register._cpus``) and that floor are
 patched here to force a few dozen amplitudes a block and one or three
 workers, and every result is compared by its bytes with the default,
@@ -36,7 +37,7 @@ from ionchain import (
     stabilizer_expectations,
 )
 from ionchain import pulse, register
-from ionchain.register import ion_blocks, split_work
+from ionchain.register import blockwise, ion_blocks
 from step_fixtures import expected_states
 
 #: Bytes of a forced block: 36 amplitudes, a few slabs or part of one.
@@ -119,10 +120,13 @@ def test_step_fixture_oracles_when_split():
         assert np.allclose(got, expected, atol=1e-12)
 
 
+CUT_CASES = [(1, None), (1, 2), (3, None), (5, 6), (6, None)]
+
+
 def test_blocks_cut_both_axes():
     amps = np.zeros(3**6 * 3, dtype=np.complex128)
     with split(SMALL_BLOCK, None):
-        for ion, last in [(1, None), (1, 2), (3, None), (5, 6), (6, None)]:
+        for ion, last in CUT_CASES:
             blocks = ion_blocks(amps, ion, 2, last)
             assert len(blocks) > 1
             assert sum(block.size for block in blocks) == amps.size
@@ -130,6 +134,19 @@ def test_blocks_cut_both_axes():
     # Ion 1 has a single slab, so its blocks cut the later-ions axis.
     with split(SMALL_BLOCK, None):
         assert all(block.shape[-2] < 3**5 for block in ion_blocks(amps, 1, 2))
+    # Each case's blocks cover the vector once, with a block of half a slab,
+    # just under, at or just over one slab, or SMALL_BLOCK.
+    owner = np.empty(amps.size, dtype=np.int64)
+    for ion, last in CUT_CASES:
+        slab = register.ion_axes(owner, ion, 2, last)[0].nbytes
+        for block_bytes in (slab // 2, slab - 16, slab, slab + 16, SMALL_BLOCK):
+            owner.fill(-1)
+            with split(block_bytes, None):
+                blocks = ion_blocks(owner, ion, 2, last)
+            for k, block in enumerate(blocks):
+                block[...] = k
+            assert not (owner == -1).any()
+            assert sum(block.size for block in blocks) == owner.size
 
 
 def test_truncation_keeps_message_and_leak():
@@ -188,16 +205,18 @@ def test_forced_split_runs_on_three_threads():
 def test_worker_exception_reaches_caller():
     threads = threading.active_count()
     started = threading.Event()
+    caller = threading.get_ident()
 
-    def task(worker, block):
-        if worker == 0:  # the calling thread waits until a started worker has failed
+    def task(source, target, work):
+        if threading.get_ident() == caller:  # waits until a started worker has failed
             started.wait(timeout=10)
             return
         started.set()
-        raise RuntimeError(f"block {block} failed")
+        raise RuntimeError("block failed")
 
-    with pytest.raises(RuntimeError, match="failed"):
-        split_work(task, 8, 3)
+    amps = np.zeros(3**4 * 3, dtype=np.complex128)
+    with split(SMALL_BLOCK, 3), pytest.raises(RuntimeError, match="failed"):
+        blockwise(task, amps, np.empty_like(amps), 2, 2)
     assert threading.active_count() == threads
 
 
