@@ -25,7 +25,6 @@ from .register import (
     IonLevel,
     IonPrep,
     RegisterState,
-    basis_label,
     global_phase_alignment,
     inner_product,
     mode_population,
@@ -58,7 +57,6 @@ __all__ = [
     "ValidationError",
     "VerificationReport",
     "apply_pulse",
-    "basis_label",
     "carrier",
     "chain_sequence",
     "cluster6_sequence",

@@ -14,7 +14,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import math
 import os
 import sys
 from collections import Counter
@@ -28,7 +27,7 @@ from .protocol import PulseSequence, chain_sequence, cluster6_sequence, run
 from .pulse import Pulse, PulseKind
 from .register import (
     LEVEL_NAMES, LEVELS_BY_NAME, MAX_REPORT_AMPLITUDES, IonPrep, RegisterState,
-    basis_labels, basis_shape, check_register_size, require_int, require_real,
+    basis_labels, check_register_size, require_int, require_real,
 )
 from .verify import verify_run
 
@@ -212,8 +211,7 @@ def build_run_report(
     # Built first, so a bad per-pulse fidelity is refused before simulating.
     estimate = _estimate_block(seq, per_pulse_fidelity)
     if full:  # also refused before simulating
-        check_register_size(seq.n_ions, n_max)
-        dim = math.prod(basis_shape(seq.n_ions, n_max))
+        dim = check_register_size(seq.n_ions, n_max)
         listed = dim * (1 + len(seq.steps) if want_snapshots else 1)
         if listed > MAX_REPORT_AMPLITUDES:
             raise ValidationError(
@@ -385,6 +383,10 @@ def _add_selection_args(parser: argparse.ArgumentParser) -> None:
         "--n-max", type=whole_number, default=2, help="Fock cutoff (default 2)"
     )
     parser.add_argument("--out", help="write the report here instead of stdout")
+    parser.add_argument(
+        "--per-pulse-fidelity", type=real_number, default=0.93,
+        help="per sideband pulse fidelity for the multiplicative estimate",
+    )
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -397,10 +399,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_run = sub.add_parser("run", help="simulate a pulse program and verify the result")
     _add_selection_args(p_run)
     p_run.add_argument(
-        "--per-pulse-fidelity", type=real_number, default=0.93,
-        help="per sideband pulse fidelity for the multiplicative estimate",
-    )
-    p_run.add_argument(
         "--snapshots", action="store_true", help="record the state after every step"
     )
     p_run.add_argument(
@@ -410,7 +408,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_noise = sub.add_parser("noise", help="Monte Carlo pulse-area jitter sweep")
     _add_selection_args(p_noise)
-    p_noise.add_argument("--per-pulse-fidelity", type=real_number, default=0.93)
     p_noise.add_argument(
         "--jitter-sigma", type=real_number, default=0.0,
         help="fractional pulse-area jitter standard deviation",
@@ -425,43 +422,34 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _cmd_run(args: argparse.Namespace) -> None:
-    seq, name = _select_sequence(args)
-    doc = build_run_report(
-        seq, name, args.n_max, args.per_pulse_fidelity, args.snapshots, args.full
-    )
-    _emit(doc, args.out)
-
-
-def _cmd_noise(args: argparse.Namespace) -> None:
-    seq, name = _select_sequence(args)
-    cfg = NoiseConfig(jitter_sigma=args.jitter_sigma, trials=args.trials, seed=args.seed)
-    doc = build_noise_report(seq, name, args.n_max, cfg, args.per_pulse_fidelity)
-    _emit(doc, args.out)
-
-
-def _cmd_emit(args: argparse.Namespace) -> None:
-    seq, _ = _select_sequence(args)
-    _emit(sequence_to_document(seq), args.out)
-
-
 def main(argv: list[str] | None = None) -> int:
+    """Parse ``argv``, then emit one document or print one refusal line.
+
+    The checks run in order: the arguments, ``--out``, the pulse program,
+    then the command's own.  Returns 0, 2 for a validation problem, or 3
+    for a Fock-cutoff truncation.
+    """
     try:
         args = build_parser().parse_args(argv)
         _check_out(args.out)
+        seq, name = _select_sequence(args)
         if args.command == "run":
-            _cmd_run(args)
+            doc = build_run_report(
+                seq, name, args.n_max, args.per_pulse_fidelity, args.snapshots, args.full
+            )
         elif args.command == "noise":
-            _cmd_noise(args)
-        elif args.command == "emit":
-            _cmd_emit(args)
-    except ValidationError as err:
-        print(f"error: {err}", file=sys.stderr)
-        return 2
-    except TruncationError as err:
-        # The message already names the step and, for a sweep, the trial.
-        print(f"truncation: {err}", file=sys.stderr)
-        return 3
+            cfg = NoiseConfig(jitter_sigma=args.jitter_sigma, trials=args.trials, seed=args.seed)
+            doc = build_noise_report(seq, name, args.n_max, cfg, args.per_pulse_fidelity)
+        else:  # emit
+            doc = sequence_to_document(seq)
+        _emit(doc, args.out)
+    except (ValidationError, TruncationError) as err:
+        # A truncation message already names the step and, for a sweep, the trial.
+        kind, code = ("truncation", 3) if isinstance(err, TruncationError) else ("error", 2)
+        # One line: each non-printable character is written as its Python escape.
+        text = "".join(c if c.isprintable() else repr(c)[1:-1] for c in str(err))
+        print(f"{kind}: {text}", file=sys.stderr)
+        return code
     return 0
 
 

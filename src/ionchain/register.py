@@ -131,12 +131,10 @@ class RegisterState:
     amplitudes: np.ndarray = field(repr=False)
 
     def __post_init__(self):
-        check_register_size(self.n_ions, self.n_max)
+        dim = check_register_size(self.n_ions, self.n_max)
         amps = np.asarray(self.amplitudes, dtype=np.complex128)
-        if amps.shape != (self.dim,):
-            raise ValidationError(
-                f"amplitude vector has shape {amps.shape}, expected ({self.dim},)"
-            )
+        if amps.shape != (dim,):
+            raise ValidationError(f"amplitude vector has shape {amps.shape}, expected ({dim},)")
         if amps.flags.writeable or amps.base is not None:
             amps = amps.copy()
             amps.setflags(write=False)
@@ -145,9 +143,6 @@ class RegisterState:
     @property
     def dim(self) -> int:
         return math.prod(basis_shape(self.n_ions, self.n_max))
-
-    def norm(self) -> float:
-        return float(np.linalg.norm(self.amplitudes))
 
     def shaped(self) -> np.ndarray:
         """View with one axis per ion (size 3) plus the mode axis (last)."""
@@ -163,14 +158,8 @@ class RegisterState:
         )
 
 
-def basis_label(state: RegisterState, index: int) -> str:
-    """Human-readable label like ``"g e g;1"`` for a flat amplitude index."""
-    index = require_int(index, "index", 0, state.dim - 1)
-    return basis_labels(state.n_ions, state.n_max, [index])[0]
-
-
 def basis_labels(n_ions: int, n_max: int, indices: Sequence[int] | np.ndarray) -> list[str]:
-    """``basis_label`` of each index: two cached word-table lookups and the phonon number."""
+    """Label like ``"g e g;1"`` of each flat index: two cached word lookups and ``;n``."""
     hi, lo = _word_tables(n_ions)
     ions, n = np.divmod(np.asarray(indices, dtype=np.int64), n_max + 1)
     a, b = np.divmod(ions, len(lo))
@@ -303,20 +292,21 @@ def blockwise(
         raise errors[0]
 
 
-def check_register_size(n_ions: int, n_max: int | None = None) -> None:
+def check_register_size(n_ions: int, n_max: int | None = None) -> int:
     """The one shape gate, run before allocating: integers >= 1, MAX_AMPLITUDES cap.
 
-    The dimension is the product of ``basis_shape``.  Since 3**n >= 2**n, any
-    n_ions of at least MAX_AMPLITUDES.bit_length() is over the cap at every
-    n_max, so 3**n_ions is never formed for an absurd n_ions.  Without an
-    ``n_max`` (a pulse program, before any cutoff is chosen) the gate is the
-    smallest cutoff, 1, and its message names that cutoff as the least one.
+    Returns the dimension it checked, the product of ``basis_shape``.  Since
+    3**n >= 2**n, any n_ions of at least MAX_AMPLITUDES.bit_length() is over
+    the cap at every n_max, so 3**n_ions is never formed for an absurd n_ions.
+    Without an ``n_max`` (a pulse program, before any cutoff is chosen) the
+    gate and the dimension are at the smallest cutoff, 1, and the message
+    names that cutoff as the least one.
     """
     n_ions = require_int(n_ions, "n_ions", 1)
     cutoff = 1 if n_max is None else require_int(n_max, "n_max", 1)
     if (
         n_ions >= MAX_AMPLITUDES.bit_length()
-        or math.prod(basis_shape(n_ions, cutoff)) > MAX_AMPLITUDES
+        or (dim := math.prod(basis_shape(n_ions, cutoff))) > MAX_AMPLITUDES
     ):
         ions = _shown(n_ions)
         size = f"3^{ions}*{_shown(cutoff + 1)} amplitudes"
@@ -325,6 +315,7 @@ def check_register_size(n_ions: int, n_max: int | None = None) -> None:
         else:
             need = f"at n_max={_shown(cutoff)} need {size}"
         raise ValidationError(f"{ions} ions {need}, over the limit of {MAX_AMPLITUDES}")
+    return dim
 
 
 def new_register(preps: Sequence[IonPrep], n_max: int) -> RegisterState:

@@ -14,7 +14,6 @@ the reference up to global phase.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -50,15 +49,15 @@ class VerificationReport:
 
 def reference_cluster(n_qubits: int, n_max: int = 2) -> RegisterState:
     """The N-qubit linear cluster state with the mode in the vacuum."""
-    check_register_size(n_qubits, n_max)
+    dim = check_register_size(n_qubits, n_max)
     scale = 2.0 ** (-n_qubits / 2.0)
     # Row k of ``levels`` is the basis label k, 0 -> |g>, 1 -> |e>, ion 1 first.
     levels = (np.arange(2**n_qubits)[:, None] >> np.arange(n_qubits - 1, -1, -1)) & 1
     flips = np.sum((levels[:, :-1] == 0) & (levels[:, 1:] == 1), axis=1)
-    shape = basis_shape(n_qubits, n_max)
     # Flat and read-only, so the state adopts it instead of copying.
-    amps = np.zeros(math.prod(shape), dtype=np.complex128)
-    amps.reshape(shape)[(*levels.T, 0)] = np.where(flips % 2 == 1, -scale, scale)
+    amps = np.zeros(dim, dtype=np.complex128)
+    signs = np.where(flips % 2 == 1, -scale, scale)
+    amps.reshape(basis_shape(n_qubits, n_max))[(*levels.T, 0)] = signs
     amps.setflags(write=False)
     return RegisterState(n_qubits, n_max, amps)
 

@@ -23,7 +23,6 @@ PUBLIC_NAMES = [
     "ValidationError",
     "VerificationReport",
     "apply_pulse",
-    "basis_label",
     "carrier",
     "chain_sequence",
     "cluster6_sequence",

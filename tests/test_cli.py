@@ -786,3 +786,34 @@ class TestProcess:
         assert out.returncode == 2
         assert out.stdout == ""
         assert out.stderr.startswith("error: ") and out.stderr.count("\n") == 1
+
+    @pytest.mark.parametrize("argv, code, start", [
+        (["run", "--sequence", "leak.json", "--n-max", "1"], 3,
+         "truncation: step 3 (leak\\nhere): "),
+        (["noise", "--sequence", "leak.json", "--n-max", "1"], 3,
+         "truncation: step 3 (leak\\nhere): "),
+        (["run", "--sequence", "d\nx/s.json"], 2,
+         "error: sequence file d\\nx/s.json is not valid JSON: "),
+        (["run", "--protocol", "cluster6", "x\ny"], 2,
+         "error: unrecognized arguments: x\\ny\n"),
+    ], ids=["run-label", "noise-label", "path", "stray-argument"])
+    def test_newline_in_a_refusal_is_escaped(self, tmp_path, argv, code, start):
+        # The third step would couple past one phonon; its label holds a newline.
+        (tmp_path / "leak.json").write_text(json.dumps({
+            "version": "1",
+            "ions": [[{"level": "e", "re": 1.0, "im": 0.0}]],
+            "steps": [
+                {"kind": "sideband_ge", "ion": 1, "phi": math.pi, "theta": math.pi / 2},
+                {"kind": "carrier", "ion": 1, "phi": 0.0, "theta": math.pi},
+                {"kind": "sideband_ge", "ion": 1, "phi": 0.0, "theta": 1.0,
+                 "label": "leak\nhere"},
+            ],
+        }))
+        (tmp_path / "d\nx").mkdir()
+        (tmp_path / "d\nx" / "s.json").write_text("{")
+        out = subprocess.run(
+            [sys.executable, "-m", "ionchain.cli", *argv],
+            cwd=tmp_path, env=_python_env(), capture_output=True, text=True,
+        )
+        assert (out.returncode, out.stdout) == (code, "")
+        assert out.stderr.startswith(start) and out.stderr.count("\n") == 1, out.stderr

@@ -171,6 +171,18 @@ def file_cases(draw):
     return command, draw(document), draw(command_options(command))
 
 
+# Its third step would couple past one phonon, and that step's label holds a newline.
+LEAKY_LABELLED = {
+    "version": "1",
+    "ions": [[{"level": "e", "re": 1.0, "im": 0.0}]],
+    "steps": [
+        {"kind": "sideband_ge", "ion": 1, "phi": math.pi, "theta": math.pi / 2},
+        {"kind": "carrier", "ion": 1, "phi": 0.0, "theta": math.pi},
+        {"kind": "sideband_ge", "ion": 1, "phi": 0.0, "theta": 1.0, "label": "leak\nhere"},
+    ],
+}
+
+
 @pytest.fixture(scope="module")
 def sequence_path(tmp_path_factory):
     return tmp_path_factory.mktemp("fuzz") / "sequence.json"
@@ -180,12 +192,16 @@ def sequence_path(tmp_path_factory):
 @given(argv_cases())
 # numpy refuses a normal scale of -0.0, which passes a "< 0" check.
 @example(["noise", "--protocol=cluster6", "--trials=3", "--jitter-sigma=-0.0"])
+# argparse quotes a stray argument whole, newline included.
+@example(["run", "--protocol=cluster6", "x\ny"])
 def test_fuzzed_argv_exits_cleanly(argv):
     check_cli(argv)
 
 
 @FUZZ
 @given(file_cases())
+# A truncation message quotes the label of the step that leaks.
+@example(case=("run", LEAKY_LABELLED, ["--n-max=1"]))
 def test_fuzzed_sequence_files_exit_cleanly(sequence_path, case):
     command, doc, options = case
     sequence_path.write_text(json.dumps(doc))

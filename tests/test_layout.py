@@ -18,7 +18,6 @@ from ionchain import (
     IonLevel,
     RegisterState,
     apply_pulse,
-    basis_label,
     eprime_leakage,
     half_sideband,
     mode_leakage,
@@ -119,7 +118,7 @@ def test_index_codecs_match_the_base_3_oracle(n_ions, n_max):
     dim = state.dim
     indices = range(dim) if dim <= 1000 else rng.choice(dim, size=1000, replace=False)
     for index in map(int, indices):
-        label = basis_label(state, index)
+        label = register.basis_labels(n_ions, n_max, [index])[0]
         assert label == oracle_basis_label(n_ions, n_max, index)
         names, n = label.split(";")
         levels = [LEVELS_BY_NAME[name] for name in names.split()]
@@ -132,7 +131,6 @@ def test_label_codec_matches_the_oracle_at_every_index(n_ions, n_max):
     state = reference_cluster(n_ions, n_max)
     labels = register.basis_labels(n_ions, n_max, np.arange(state.dim))
     assert labels == [oracle_basis_label(n_ions, n_max, i) for i in range(state.dim)]
-    assert labels == [basis_label(state, i) for i in range(state.dim)]
 
 
 @pytest.mark.parametrize("n_ions, n_max", [(12, 2), (14, 1)])

@@ -186,7 +186,7 @@ class TestSnapshotRegression:
     def test_snapshots_are_normalized(self, snapshots):
         assert len(snapshots) == 11
         for state in snapshots:
-            assert abs(state.norm() - 1.0) < 1e-12
+            assert abs(np.linalg.norm(state.amplitudes) - 1.0) < 1e-12
 
 
 class TestProtocolInvariants:

@@ -10,7 +10,6 @@ from ionchain import (
     IonPrep,
     RegisterState,
     ValidationError,
-    basis_label,
     chain_sequence,
     global_phase_alignment,
     inner_product,
@@ -50,7 +49,7 @@ class TestNewRegister:
         }
         for (l1, l2), value in expected.items():
             assert amp(state, [l1, l2], 0) == pytest.approx(value, abs=1e-15)
-        assert state.norm() == pytest.approx(1.0, abs=1e-12)
+        assert np.linalg.norm(state.amplitudes) == pytest.approx(1.0, abs=1e-12)
         assert mode_population(state, 0) == pytest.approx(1.0, abs=1e-12)
 
     def test_rejects_empty_and_bad_cutoff(self):
@@ -80,7 +79,12 @@ class TestAmplitudeCap:
     @pytest.mark.parametrize("n_ions, n_max", [(14, 2), (12, 30), (1, 5_592_404)])
     def test_admits_up_to_the_cap(self, n_ions, n_max):
         assert 3**n_ions * (n_max + 1) <= MAX_AMPLITUDES
-        check_register_size(n_ions, n_max)
+        assert check_register_size(n_ions, n_max) == 3**n_ions * (n_max + 1)
+
+    def test_returns_the_dimension_it_checked(self):
+        assert check_register_size(12, 2) == 1_594_323
+        assert check_register_size(14, 2) == 3**14 * 3
+        assert check_register_size(3) == 54  # at the smallest cutoff, 1
 
     @pytest.mark.parametrize(
         "n_ions, n_max", [(15, 2), (15, 1), (12, 31), (1, 5_592_405), (20, 2), (10**8, 1)]
@@ -215,7 +219,7 @@ class TestIndexing:
                 index = int(state.shaped()[(*levels, n)].real)
                 assert index not in seen
                 seen.add(index)
-                label = basis_label(state, index)
+                label = register.basis_labels(n_ions, n_max, [index])[0]
                 names, phonon = label.split(";")
                 assert int(phonon) == n
                 assert names.split(" ") == [

@@ -79,7 +79,7 @@ class TestReferenceCluster:
         assert np.allclose(
             np.abs(ref.amplitudes[nonzero]), 2.0 ** (-n / 2.0), atol=1e-12
         )
-        assert abs(ref.norm() - 1.0) < 1e-12
+        assert abs(np.linalg.norm(ref.amplitudes) - 1.0) < 1e-12
         assert eprime_leakage(ref) == 0.0
         assert mode_leakage(ref) == 0.0
 

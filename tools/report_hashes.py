@@ -11,7 +11,9 @@ working directory: past about 10,000 amplitudes ``np.vdot`` and
 ``np.linalg.norm`` round differently on another BLAS thread count, so the
 pin keeps the lines the same on hosts with any number of CPUs.  A command
 that must succeed prints ``sha256(stdout)[:16]  argv``; one that must fail
-prints ``sha256(stderr)[:16]  exit N  argv``, pinning its one-line reason.
+prints ``sha256(stderr)[:16]  exit N  argv``, pinning its one-line reason;
+if its stderr is not exactly one line or its stdout is not empty, the tool
+stops with exit 1 and names the command (every pinned refusal passes).
 The sequence file is emitted to the fixed relative name ``cluster6.json`` in
 that directory, so the ``run --sequence`` report (which names its file)
 hashes the same for every tree; ``hot.json`` is a one-ion program whose
@@ -175,6 +177,10 @@ def main(argv: list[str]) -> int:
                 digest = hashlib.sha256(proc.stdout).hexdigest()[:16]
                 print(f"{digest}  {' '.join(args)}")
             else:
+                if proc.stdout or proc.stderr.count(b"\n") != 1 or not proc.stderr.endswith(b"\n"):
+                    print(f"refusal is not one stderr line with empty stdout: {' '.join(args)}",
+                          file=sys.stderr)
+                    return 1
                 digest = hashlib.sha256(proc.stderr).hexdigest()[:16]
                 print(f"{digest}  exit {code}  {' '.join(args)}")
     return 0
