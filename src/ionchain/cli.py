@@ -7,7 +7,17 @@ Three subcommands:
 * ``emit``  -- write a built-in pulse program as a sequence file.
 
 Reports go to stdout (or ``--out``); diagnostics go to stderr.  Exit codes:
-0 success, 2 validation problem, 3 Fock-cutoff truncation.
+0 success, 2 validation problem (a report that cannot be written too),
+3 Fock-cutoff truncation.
+
+A report is the text ``json.dumps(doc, indent=2, allow_nan=False)`` gives,
+written without the pure-Python encoder that ``indent`` selects.  Each
+amplitude list and the Monte Carlo samples become text slabs of
+``SLAB_ITEMS`` items as they are built, about 90 B a listed amplitude, and
+the pieces are written once the whole report is built, so a refused run
+writes nothing.  ``run --protocol chain:12 --n-max 2 --full`` (144 MB of
+report) peaks at 0.22 GB RSS in 4 s, against 1.19 GB and 13 s when the
+amplitudes were lists handed to ``json.dumps``.
 """
 
 from __future__ import annotations
@@ -17,6 +27,8 @@ import json
 import os
 import sys
 from collections import Counter
+from dataclasses import dataclass
+from json.encoder import encode_basestring_ascii
 from typing import Any
 
 import numpy as np
@@ -175,7 +187,67 @@ def load_sequence(path: str) -> PulseSequence:
 # ---------------------------------------------------------------------------
 
 
-def _amplitude_triples(state: RegisterState, full: bool) -> list[list[Any]]:
+#: Items (kept amplitudes or samples) one slab of report text covers, so the
+#: lists a slab is joined from stay bounded whatever the report's size.
+SLAB_ITEMS = 1 << 16
+
+# Nesting depth of the value of a top-level key of a report, and of a key of
+# an entry of its ``snapshots`` list.
+_KEY_DEPTH, _SNAPSHOT_KEY_DEPTH = 1, 3
+
+
+# Writes JSON scalars.  Its iterencode runs json's pure-Python encoder, as
+# json.dumps(indent=2) does, whose refusal of a non-finite float names the
+# value; the C encoder's refusal does not.
+_SCALARS = json.JSONEncoder(allow_nan=False)
+
+
+@dataclass(frozen=True)
+class _Slabs:
+    """The text ``json.dumps(indent=2)`` writes for one array at nesting ``depth``.
+
+    ``error`` is the ValueError ``json`` raises at the array's first
+    non-finite float; ``_render`` raises it where ``json.dumps`` would.
+    """
+
+    depth: int
+    pieces: list[str]
+    error: ValueError | None = None
+
+
+def _float_texts(values: np.ndarray) -> list[str]:
+    """``repr`` of each float64, as ``json`` writes it, once per distinct bit pattern."""
+    bits, where = np.unique(values.view(np.uint64), return_inverse=True)
+    # tolist() gives Python floats and keeps the sign of a zero.
+    texts = np.array([repr(x) for x in bits.view(np.float64).tolist()], dtype=object)
+    return texts[where].tolist()
+
+
+def _array_slabs(depth: int, count: int, values: np.ndarray, slab_text) -> _Slabs:
+    """An array of ``count`` items at ``depth`` whose floats are ``values``, in order.
+
+    ``slab_text(start, stop, sep)`` writes items start..stop-1 joined by ``sep``.
+    """
+    bad = np.flatnonzero(~np.isfinite(values))
+    if bad.size:
+        try:
+            list(_SCALARS.iterencode(float(values[bad[0]])))
+        except ValueError as err:
+            return _Slabs(depth, [], err)
+    if count == 0:
+        return _Slabs(depth, ["[]"])
+    sep = ",\n" + "  " * (depth + 1)
+    pieces = ["[" + sep[1:]]
+    for start in range(0, count, SLAB_ITEMS):
+        if start:
+            pieces.append(sep)
+        pieces.append(slab_text(start, min(start + SLAB_ITEMS, count), sep))
+    pieces.append("\n" + "  " * depth + "]")
+    return _Slabs(depth, pieces)
+
+
+def _amplitude_block(state: RegisterState, full: bool, depth: int) -> _Slabs:
+    """The ``[label, re, im]`` list of the state's kept amplitudes, as report text."""
     amps = state.amplitudes
     if full:
         kept = np.arange(amps.size)
@@ -183,9 +255,35 @@ def _amplitude_triples(state: RegisterState, full: bool) -> list[list[Any]]:
         # hypot, as a scalar abs() computes it: the complex np.abs loop can
         # differ in the last bit, which moves amplitudes across the floor.
         kept = np.flatnonzero(np.hypot(amps.real, amps.imag) > REPORT_AMPLITUDE_FLOOR)
-    # tolist() gives Python floats and keeps the sign of a zero.
-    re, im = amps.real[kept].tolist(), amps.imag[kept].tolist()
-    return [[s, x, y] for s, x, y in zip(basis_labels(state.n_ions, state.n_max, kept), re, im)]
+        amps = amps[kept]
+    values = amps.view(np.float64)  # re and im of each kept amplitude in turn
+    line = "\n" + "  " * (depth + 2)
+    first, then = "[" + line, "," + line
+    close = "\n" + "  " * (depth + 1) + "]"
+
+    def slab_text(start: int, stop: int, sep: str) -> str:
+        # Six parts an item: its opening (after the last item's close), the
+        # label, a separator, re, a separator and im.
+        n = stop - start
+        texts = _float_texts(values[2 * start:2 * stop])
+        parts = [then] * (6 * n)
+        parts[0::6] = [close + sep + first] * n
+        parts[0] = first
+        parts[1::6] = map(encode_basestring_ascii,
+                          basis_labels(state.n_ions, state.n_max, kept[start:stop]))
+        parts[3::6] = texts[0::2]
+        parts[5::6] = texts[1::2]
+        parts.append(close)
+        return "".join(parts)
+
+    return _array_slabs(depth, kept.size, values, slab_text)
+
+
+def _sample_block(samples: np.ndarray, depth: int) -> _Slabs:
+    """The list of Monte Carlo fidelity samples, as report text."""
+    # Samples rarely repeat, so each is formatted on its own.
+    return _array_slabs(depth, samples.size, samples,
+                        lambda start, stop, sep: sep.join(map(repr, samples[start:stop].tolist())))
 
 
 def _estimate_block(seq: PulseSequence, per_pulse_fidelity: float) -> dict[str, Any]:
@@ -218,10 +316,11 @@ def build_run_report(
                 f"--full would list {listed} amplitudes ({dim} a state), "
                 f"over the limit of {MAX_REPORT_AMPLITUDES}"
             )
-    # Each state becomes its triples as the run goes, so none outlives its step.
-    final, step_triples = run(
+    # Each state becomes its report text as the run goes, so none outlives its step.
+    final, step_blocks = run(
         seq, n_max=n_max,
-        snapshot=(lambda state: _amplitude_triples(state, full)) if want_snapshots else None,
+        snapshot=(lambda state: _amplitude_block(state, full, _SNAPSHOT_KEY_DEPTH))
+        if want_snapshots else None,
     )
     report_fields = verify_run(final, seq.n_ions)
     doc: dict[str, Any] = {
@@ -232,7 +331,7 @@ def build_run_report(
             "n_max": n_max,
             "full": full,
         },
-        "final_state": _amplitude_triples(final, full),
+        "final_state": _amplitude_block(final, full, _KEY_DEPTH),
         "verification": {
             "fidelity": report_fields.fidelity,
             "stabilizer_expectations": list(report_fields.stabilizer_expectations),
@@ -250,7 +349,7 @@ def build_run_report(
             {"step_index": i, "kind": pulse.kind.value, "ion": pulse.ion, "label": label,
              "amplitudes": amplitudes}
             for i, (pulse, label, amplitudes) in enumerate(
-                zip(seq.steps, seq.labels, step_triples), start=1)
+                zip(seq.steps, seq.labels, step_blocks), start=1)
         ]
     return doc
 
@@ -278,7 +377,7 @@ def build_noise_report(
         },
         "mean_fidelity": result.mean_fidelity,
         "std_error": result.std_error,
-        "samples": [float(x) for x in result.samples],
+        "samples": _sample_block(result.samples, _KEY_DEPTH),
         "fidelity_estimate": estimate,
     }
 
@@ -326,17 +425,74 @@ def _check_out(out: str | None) -> None:
         raise ValidationError(f"--out {out!r}: {target!r} is not writable")
 
 
+def _render_into(value: Any, depth: int, out: list[str]) -> None:
+    indent = "\n" + "  " * (depth + 1)
+    if isinstance(value, _Slabs):
+        assert value.depth == depth, "array text written for another nesting depth"
+        if value.error is not None:
+            raise value.error
+        out.extend(value.pieces)
+    elif isinstance(value, dict) and value:
+        sep = "{"
+        for key, item in value.items():
+            out.append(sep + indent + encode_basestring_ascii(key) + ": ")
+            _render_into(item, depth + 1, out)
+            sep = ","
+        out.append(indent[:-2] + "}")
+    elif isinstance(value, (list, tuple)) and value:
+        sep = "["
+        for item in value:
+            out.append(sep + indent)
+            _render_into(item, depth + 1, out)
+            sep = ","
+        out.append(indent[:-2] + "]")
+    else:  # a scalar, {} or []
+        out.extend(_SCALARS.iterencode(value))
+
+
+def _render(doc: Any) -> list[str]:
+    """The text of ``json.dumps(doc, indent=2, allow_nan=False) + "\\n"``, in pieces.
+
+    ``doc`` holds string keys, JSON scalars and ``_Slabs``; a non-finite
+    float raises the ValueError ``json`` raises for it.
+    """
+    out: list[str] = []
+    _render_into(doc, 0, out)
+    out.append("\n")
+    return out
+
+
+def _drop_stdout() -> None:
+    """Point stdout's descriptor at the null device after a failed write.
+
+    What the failed write left in the buffer would fail again when Python
+    flushes stdout at exit, which prints a second error and exits 120.
+    """
+    try:
+        fd = sys.stdout.fileno()
+    except (OSError, ValueError):  # a stream with no descriptor, such as a test's capture
+        return
+    devnull = os.open(os.devnull, os.O_WRONLY)
+    os.dup2(devnull, fd)
+    os.close(devnull)
+
+
 def _emit(doc: dict[str, Any], out: str | None) -> None:
     try:
-        text = json.dumps(doc, indent=2, allow_nan=False)
+        pieces = _render(doc)
     except ValueError as err:
         raise ValidationError(f"report is not strict JSON: {err}") from err
     if out is None or out == "-":
-        sys.stdout.write(text + "\n")
+        try:
+            sys.stdout.writelines(pieces)
+            sys.stdout.flush()
+        except OSError as err:
+            _drop_stdout()
+            raise ValidationError(f"cannot write the report to stdout: {err}") from err
         return
     try:
         with open(out, "w", encoding="utf-8") as fh:
-            fh.write(text + "\n")
+            fh.writelines(pieces)
     except OSError as err:
         raise ValidationError(f"cannot write --out {out!r}: {err}") from err
 

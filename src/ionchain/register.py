@@ -43,9 +43,10 @@ PREP_NORM_ATOL = 1e-9
 #: values, 268 MB.  Admits 14 ions at n_max=2 and 12 ions up to n_max=30.
 MAX_AMPLITUDES = 2**24
 
-#: Most amplitudes a ``--full`` report may list over all its states: about
-#: 1.6 GB of report building at the 0.75 kB a listed amplitude measured for
-#: chain:12 --full at n_max=2, which it admits.
+#: Most amplitudes a ``--full`` report may list over all its states.  A
+#: report is held as text until it is written, about 90 B a listed
+#: amplitude: chain:12 --full at n_max=2, which the cap admits, writes
+#: 144 MB and peaks at 0.22 GB RSS, and the cap itself is about 190 MB.
 MAX_REPORT_AMPLITUDES = 2**21
 
 #: Bytes of state one block of a dense pass covers (see ``ion_blocks``).

@@ -14,7 +14,7 @@ import numpy as np
 import pytest
 
 import ionchain as ic
-from ionchain.cli import build_noise_report, build_run_report, main
+from ionchain.cli import _emit, build_noise_report, build_run_report, main
 from conftest import amp, ket, make_random_state
 from step_fixtures import expected_states
 
@@ -177,7 +177,7 @@ def test_criterion_6_stabilizer_oracle():
     )
 
 
-def test_criterion_7_noise_determinism_and_trends():
+def test_criterion_7_noise_determinism_and_trends(tmp_path):
     seq = ic.cluster6_sequence()
     exact = ic.monte_carlo(seq, ic.NoiseConfig(jitter_sigma=0.0, trials=10, seed=1))
     sigma_ok = exact.mean_fidelity == pytest.approx(1.0, abs=1e-10)
@@ -193,12 +193,17 @@ def test_criterion_7_noise_determinism_and_trends():
         for tighter, looser in zip(sweeps, sweeps[1:])
     )
 
+    def emitted(doc):
+        path = tmp_path / "report.json"
+        _emit(doc, str(path))
+        return path.read_bytes()
+
     cfg = ic.NoiseConfig(jitter_sigma=0.02, trials=40, seed=7)
-    first = json.dumps(build_noise_report(seq, "cluster6", 4, cfg, 0.93))
-    second = json.dumps(build_noise_report(seq, "cluster6", 4, cfg, 0.93))
+    first = emitted(build_noise_report(seq, "cluster6", 4, cfg, 0.93))
+    second = emitted(build_noise_report(seq, "cluster6", 4, cfg, 0.93))
     bytes_ok = first == second
-    run_first = json.dumps(build_run_report(seq, "cluster6", 2, 0.93, True, False))
-    run_second = json.dumps(build_run_report(seq, "cluster6", 2, 0.93, True, False))
+    run_first = emitted(build_run_report(seq, "cluster6", 2, 0.93, True, False))
+    run_second = emitted(build_run_report(seq, "cluster6", 2, 0.93, True, False))
     bytes_ok = bytes_ok and run_first == run_second
 
     ok = sigma_ok and monotone and bytes_ok

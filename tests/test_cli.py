@@ -1,14 +1,18 @@
 from __future__ import annotations
 
+import functools
 import json
 import math
 import os
 import subprocess
 import sys
 import weakref
+from dataclasses import dataclass
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 import ionchain
 from ionchain import cli, cluster6_sequence, chain_sequence, register
@@ -211,16 +215,16 @@ class TestRun:
 
     def test_snapshots_keep_no_earlier_state(self, capsys, monkeypatch):
         seen = []
-        triples = cli._amplitude_triples
+        block = cli._amplitude_block
 
-        def checked(state, full):
-            # Each state is turned into triples while its step is the latest;
-            # the final report reads the last one again.
+        def checked(state, full, depth):
+            # Each state is turned into report text while its step is the
+            # latest; the final report reads the last one again.
             assert all(ref() is None or ref() is state for ref in seen)
             seen.append(weakref.ref(state))
-            return triples(state, full)
+            return block(state, full, depth)
 
-        monkeypatch.setattr(cli, "_amplitude_triples", checked)
+        monkeypatch.setattr(cli, "_amplitude_block", checked)
         code, out, _ = run_cli(capsys, "run", "--protocol", "chain:4", "--snapshots")
         assert code == 0
         assert len(json.loads(out)["snapshots"]) == len(seen) - 1 == 7
@@ -573,10 +577,11 @@ def test_amplitude_triples_match_the_loop_at_the_floor(seed, n_ions):
     amps[0] = 1.0
     state = register.RegisterState(n_ions, n_max, amps)
     for full in (False, True):
-        # repr keeps the sign of a zero, which == would not.
-        assert repr(cli._amplitude_triples(state, full)) == repr(
-            old_amplitude_triples(state, full)
-        )
+        # The text keeps the sign of a zero, which == on the floats would not.
+        expected = json.dumps(old_amplitude_triples(state, full), indent=2)
+        for depth in (cli._KEY_DEPTH, cli._SNAPSHOT_KEY_DEPTH):
+            block = cli._amplitude_block(state, full, depth)
+            assert "".join(block.pieces) == expected.replace("\n", "\n" + "  " * depth)
 
 
 class TestArguments:
@@ -731,6 +736,14 @@ class TestOut:
         assert path.read_text() == "earlier report\n"
 
 
+# One command of each kind.
+STDOUT_COMMANDS = [
+    ["run", "--protocol", "cluster6"],
+    ["noise", "--protocol", "cluster6", "--trials", "3"],
+    ["emit", "--protocol", "cluster6"],
+]
+
+
 class TestProcess:
     """Whole interpreter processes: nothing is printed that was not asked for."""
 
@@ -778,6 +791,38 @@ class TestProcess:
         )
         assert (out.returncode, out.stdout, out.stderr) == (2, "", line)
 
+    @pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs /dev/full")
+    @pytest.mark.parametrize("argv", STDOUT_COMMANDS)
+    def test_failed_write_to_stdout_is_one_stderr_line(self, argv):
+        # Buffered, each report fits in stdout's buffer: only the flush fails.
+        env = _python_env()
+        env.pop("PYTHONUNBUFFERED", None)
+        with open("/dev/full", "w") as full:
+            out = subprocess.run(
+                [sys.executable, "-m", "ionchain.cli", *argv],
+                env=env, stdout=full, stderr=subprocess.PIPE, text=True,
+            )
+        assert (out.returncode, out.stderr) == (
+            2, "error: cannot write the report to stdout: [Errno 28] No space left on device\n"
+        )
+
+    @pytest.mark.parametrize("argv", STDOUT_COMMANDS)
+    def test_report_to_a_closed_pipe_is_one_stderr_line(self, argv):
+        # Unbuffered, the first write fails.
+        read_end, write_end = os.pipe()
+        os.close(read_end)
+        try:
+            out = subprocess.run(
+                [sys.executable, "-m", "ionchain.cli", *argv],
+                env=dict(_python_env(), PYTHONUNBUFFERED="1"), stdout=write_end,
+                stderr=subprocess.PIPE, text=True,
+            )
+        finally:
+            os.close(write_end)
+        assert (out.returncode, out.stderr) == (
+            2, "error: cannot write the report to stdout: [Errno 32] Broken pipe\n"
+        )
+
     def test_error_is_one_stderr_line(self):
         out = subprocess.run(
             [sys.executable, "-m", "ionchain.cli", "run", "--protocol", "chain:1"],
@@ -817,3 +862,162 @@ class TestProcess:
         )
         assert (out.returncode, out.stdout) == (code, "")
         assert out.stderr.startswith(start) and out.stderr.count("\n") == 1, out.stderr
+
+
+# ---------------------------------------------------------------------------
+# The report writer against json.dumps(indent=2)
+# ---------------------------------------------------------------------------
+
+# Parts a kept amplitude or a sample may have: signed zeros, subnormals and
+# the far end of the float range, as well as ordinary values.
+SPECIAL_FLOATS = [0.0, -0.0, 5e-324, -2.5e-310, 1e308, -1e308, 0.5, -0.25, 1 / 3]
+
+
+@dataclass(frozen=True)
+class Block:
+    """A leaf standing for an array the writer renders from numpy data."""
+
+    name: str
+
+
+def _state_with_kept(n_ions, n_max, count, seed):
+    """A state with ``count`` amplitudes above the report floor, at random indices.
+
+    Their parts are drawn from SPECIAL_FLOATS, so a kept amplitude may have a
+    signed-zero part; every other amplitude is a zero of either sign.
+    """
+    rng = np.random.default_rng(seed)
+    dim = 3**n_ions * (n_max + 1)
+    parts = rng.choice(SPECIAL_FLOATS, size=(dim, 2))
+    parts[np.hypot(parts[:, 0], parts[:, 1]) <= cli.REPORT_AMPLITUDE_FLOOR, 0] = 0.5
+    kept = np.sort(rng.choice(dim, count, replace=False))
+    amps = rng.choice([0.0, -0.0], size=(dim, 2))
+    amps[kept] = parts[kept]
+    return register.RegisterState(n_ions, n_max, amps[:, 0] + 1j * amps[:, 1])
+
+
+def _with_part(state, index, value):
+    amps = state.amplitudes.copy()
+    amps.view(np.float64)[index] = value
+    return register.RegisterState(state.n_ions, state.n_max, amps)
+
+
+@functools.cache
+def _blocks():
+    """name -> (renders the block at a depth, the list json.dumps is given)."""
+    big = _state_with_kept(10, 1, 65537, seed=5)  # 118,098 amplitudes
+    big_triples = old_amplitude_triples(big, False)
+    nonzero = np.flatnonzero(big.amplitudes)
+    small = _state_with_kept(2, 2, 9, seed=6)
+    blocks = {}
+    for count in (65535, 65536, 65537):
+        amps = big.amplitudes.copy()
+        amps[nonzero[count:]] = 0.0
+        state = register.RegisterState(10, 1, amps)
+        blocks[f"amplitudes-{count}"] = (
+            functools.partial(cli._amplitude_block, state, False), big_triples[:count])
+    for count in (0, 1, 9):
+        state = _state_with_kept(2, 2, count, seed=count)
+        blocks[f"amplitudes-{count}"] = (
+            functools.partial(cli._amplitude_block, state, False),
+            old_amplitude_triples(state, False))
+    blocks["amplitudes-full"] = (functools.partial(cli._amplitude_block, small, True),
+                                 old_amplitude_triples(small, True))
+    samples = np.random.default_rng(7).choice(SPECIAL_FLOATS + [0.1, 0.2, 0.3], 65537)
+    samples[5::7] = np.random.default_rng(8).random(samples[5::7].size)
+    for name, values in [("samples-0", samples[:0]), ("samples-3", samples[:3]),
+                         ("samples-65537", samples)]:
+        blocks[name] = (functools.partial(cli._sample_block, values), values.tolist())
+    # Non-finite parts: a NaN amplitude is below the floor, so it shows under --full.
+    for name, state, full in [("amplitudes-nan", _with_part(small, 3, math.nan), True),
+                              ("amplitudes-inf", _with_part(small, 8, -math.inf), False)]:
+        blocks[name] = (functools.partial(cli._amplitude_block, state, full),
+                        old_amplitude_triples(state, full))
+    for name, values in [("samples-nan", np.array([0.5, math.nan, -0.0])),
+                         ("samples-inf", np.array([math.inf]))]:
+        blocks[name] = (functools.partial(cli._sample_block, values), values.tolist())
+    return blocks
+
+
+FINITE_BLOCKS = ["amplitudes-0", "amplitudes-1", "amplitudes-9", "amplitudes-full",
+                 "amplitudes-65535", "amplitudes-65536", "amplitudes-65537",
+                 "samples-0", "samples-3", "samples-65537"]
+NON_FINITE_LEAVES = st.one_of(
+    st.sampled_from([math.nan, math.inf, -math.inf]),
+    st.sampled_from(["amplitudes-nan", "amplitudes-inf", "samples-nan", "samples-inf"]).map(Block),
+)
+SCALARS = st.one_of(
+    st.none(), st.booleans(), st.integers(), st.sampled_from([2**64, -(2**100), 10**400]),
+    st.floats(allow_nan=False, allow_infinity=False), st.sampled_from(SPECIAL_FLOATS),
+    st.text(),  # any code point but a surrogate: non-ASCII and control characters too
+)
+FINITE_TREES = st.recursive(
+    st.one_of(SCALARS, st.sampled_from(FINITE_BLOCKS).map(Block)),
+    lambda children: st.one_of(st.lists(children, max_size=3),
+                               st.dictionaries(st.text(), children, max_size=3)),
+    max_leaves=8,
+)
+
+
+def _documents(tree, depth, texts):
+    """The document for the writer and the one for json.dumps, from one tree.
+
+    A block of 65,535 items or more is given to json.dumps as a placeholder
+    string, and ``texts`` maps that string's JSON to the block's own
+    json.dumps(indent=2) text, indented to its depth, so the large lists are
+    dumped once rather than in every example.
+    """
+    if isinstance(tree, Block):
+        render, items = _blocks()[tree.name]
+        if len(items) < 65535:
+            return render(depth), items
+        key = f"\x00block {len(texts)}"
+        texts[json.dumps(key)] = _block_text(tree.name, depth)
+        return render(depth), key
+    if isinstance(tree, dict):
+        pairs = {k: _documents(v, depth + 1, texts) for k, v in tree.items()}
+        return {k: v[0] for k, v in pairs.items()}, {k: v[1] for k, v in pairs.items()}
+    if isinstance(tree, list):
+        pairs = [_documents(v, depth + 1, texts) for v in tree]
+        return [v[0] for v in pairs], [v[1] for v in pairs]
+    return tree, tree
+
+
+@functools.cache
+def _block_text(name, depth):
+    return json.dumps(_blocks()[name][1], indent=2).replace("\n", "\n" + "  " * depth)
+
+
+def _expected_text(reference, texts):
+    text = json.dumps(reference, indent=2, allow_nan=False)
+    for key, block_text in texts.items():
+        text = text.replace(key, block_text)
+    return text + "\n"
+
+
+@settings(max_examples=60, derandomize=True, deadline=None, database=None)
+@example({"snapshots": [{"amplitudes": Block("amplitudes-65537")}, {}, []], "": "\x00é\n",
+          "none": Block("amplitudes-0")})
+@example([Block("samples-65537"), [Block("amplitudes-65536"), Block("amplitudes-65535")],
+          {"☃\t": -0.0}, Block("samples-0"), Block("amplitudes-1")])
+@given(FINITE_TREES)
+def test_writer_matches_json_dumps(tree):
+    texts = {}
+    doc, reference = _documents(tree, 0, texts)
+    assert "".join(cli._render(doc)) == _expected_text(reference, texts)
+
+
+@settings(max_examples=40, derandomize=True, deadline=None, database=None)
+@given(st.data())
+def test_non_finite_float_is_refused_as_json_refuses_it(data):
+    tree = data.draw(NON_FINITE_LEAVES)
+    for wrap in data.draw(st.lists(st.sampled_from(["list", "dict"]), max_size=3)):
+        tree = [tree] if wrap == "list" else {data.draw(st.text()): tree}
+    siblings = data.draw(st.lists(FINITE_TREES, max_size=3))
+    siblings.insert(data.draw(st.integers(0, len(siblings))), tree)
+    doc, reference = _documents(siblings, 0, {})
+    with pytest.raises(ValueError) as refused:
+        json.dumps(reference, indent=2, allow_nan=False)
+    with pytest.raises(ionchain.ValidationError) as err:
+        _emit(doc, None)
+    assert str(err.value) == f"report is not strict JSON: {refused.value}"

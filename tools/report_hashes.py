@@ -60,6 +60,9 @@ COMMANDS = [
     # 354,294-amplitude scoring row.
     ["noise", "--protocol", "chain:10", "--jitter-sigma", "0.02", "--trials", "20",
      "--seed", "1", "--n-max", "5"],
+    # 70,000 samples: the report writes them in two slabs of text.
+    ["noise", "--protocol", "chain:2", "--jitter-sigma", "0.05", "--trials", "70000",
+     "--seed", "4", "--n-max", "1"],
 ]
 
 #: (exit code, argv) of commands that must fail.
