@@ -12,9 +12,9 @@ Reports go to stdout (or ``--out``); diagnostics go to stderr.  Exit codes:
 
 A report is the text ``json.dumps(doc, indent=2, allow_nan=False)`` gives,
 written without the pure-Python encoder that ``indent`` selects.  Each
-amplitude list and the Monte Carlo samples become text slabs of
-``SLAB_ITEMS`` items as they are built, about 90 B a listed amplitude, and
-the pieces are written once the whole report is built, so a refused run
+amplitude list and the Monte Carlo samples are rendered when written, in
+text slabs of ``SLAB_ITEMS`` items, about 90 B a listed amplitude, and
+nothing is written until the whole report is rendered, so a refused run
 writes nothing.  ``run --protocol chain:12 --n-max 2 --full`` (144 MB of
 report) peaks at 0.22 GB RSS in 4 s, against 1.19 GB and 13 s when the
 amplitudes were lists handed to ``json.dumps``.
@@ -29,7 +29,7 @@ import sys
 from collections import Counter
 from dataclasses import dataclass
 from json.encoder import encode_basestring_ascii
-from typing import Any
+from typing import Any, Callable
 
 import numpy as np
 
@@ -191,10 +191,6 @@ def load_sequence(path: str) -> PulseSequence:
 #: lists a slab is joined from stay bounded whatever the report's size.
 SLAB_ITEMS = 1 << 16
 
-# Nesting depth of the value of a top-level key of a report, and of a key of
-# an entry of its ``snapshots`` list.
-_KEY_DEPTH, _SNAPSHOT_KEY_DEPTH = 1, 3
-
 
 # Writes JSON scalars.  Its iterencode runs json's pure-Python encoder, as
 # json.dumps(indent=2) does, whose refusal of a non-finite float names the
@@ -203,16 +199,16 @@ _SCALARS = json.JSONEncoder(allow_nan=False)
 
 
 @dataclass(frozen=True)
-class _Slabs:
-    """The text ``json.dumps(indent=2)`` writes for one array at nesting ``depth``.
+class _Array:
+    """A report array of ``count`` items whose floats are ``values``, in order.
 
-    ``error`` is the ValueError ``json`` raises at the array's first
-    non-finite float; ``_render`` raises it where ``json.dumps`` would.
+    ``slab(start, stop, depth)`` writes items start..stop-1 of the array at
+    nesting ``depth``, as ``json.dumps(indent=2)`` does, without the array's brackets.
     """
 
-    depth: int
-    pieces: list[str]
-    error: ValueError | None = None
+    count: int
+    values: np.ndarray
+    slab: Callable[[int, int, int], str]
 
 
 def _float_texts(values: np.ndarray) -> list[str]:
@@ -223,67 +219,44 @@ def _float_texts(values: np.ndarray) -> list[str]:
     return texts[where].tolist()
 
 
-def _array_slabs(depth: int, count: int, values: np.ndarray, slab_text) -> _Slabs:
-    """An array of ``count`` items at ``depth`` whose floats are ``values``, in order.
-
-    ``slab_text(start, stop, sep)`` writes items start..stop-1 joined by ``sep``.
-    """
-    bad = np.flatnonzero(~np.isfinite(values))
-    if bad.size:
-        try:
-            list(_SCALARS.iterencode(float(values[bad[0]])))
-        except ValueError as err:
-            return _Slabs(depth, [], err)
-    if count == 0:
-        return _Slabs(depth, ["[]"])
-    sep = ",\n" + "  " * (depth + 1)
-    pieces = ["[" + sep[1:]]
-    for start in range(0, count, SLAB_ITEMS):
-        if start:
-            pieces.append(sep)
-        pieces.append(slab_text(start, min(start + SLAB_ITEMS, count), sep))
-    pieces.append("\n" + "  " * depth + "]")
-    return _Slabs(depth, pieces)
-
-
-def _amplitude_block(state: RegisterState, full: bool, depth: int) -> _Slabs:
-    """The ``[label, re, im]`` list of the state's kept amplitudes, as report text."""
+def _amplitude_block(state: RegisterState, full: bool) -> _Array:
+    """The ``[label, re, im]`` list of the state's kept amplitudes."""
     amps = state.amplitudes
-    if full:
-        kept = np.arange(amps.size)
-    else:
+    kept = None  # every amplitude, under --full
+    if not full:
         # hypot, as a scalar abs() computes it: the complex np.abs loop can
         # differ in the last bit, which moves amplitudes across the floor.
         kept = np.flatnonzero(np.hypot(amps.real, amps.imag) > REPORT_AMPLITUDE_FLOOR)
         amps = amps[kept]
     values = amps.view(np.float64)  # re and im of each kept amplitude in turn
-    line = "\n" + "  " * (depth + 2)
-    first, then = "[" + line, "," + line
-    close = "\n" + "  " * (depth + 1) + "]"
+    # Not the state itself, which would then outlive its step.
+    n_ions, n_max = state.n_ions, state.n_max
 
-    def slab_text(start: int, stop: int, sep: str) -> str:
+    def slab(start: int, stop: int, depth: int) -> str:
         # Six parts an item: its opening (after the last item's close), the
         # label, a separator, re, a separator and im.
+        item = "\n" + "  " * (depth + 1)
+        part = item + "  "
         n = stop - start
         texts = _float_texts(values[2 * start:2 * stop])
-        parts = [then] * (6 * n)
-        parts[0::6] = [close + sep + first] * n
-        parts[0] = first
-        parts[1::6] = map(encode_basestring_ascii,
-                          basis_labels(state.n_ions, state.n_max, kept[start:stop]))
+        parts = ["," + part] * (6 * n)
+        parts[0::6] = [item + "]," + item + "[" + part] * n
+        parts[0] = "[" + part
+        indices = np.arange(start, stop) if kept is None else kept[start:stop]
+        parts[1::6] = map(encode_basestring_ascii, basis_labels(n_ions, n_max, indices))
         parts[3::6] = texts[0::2]
         parts[5::6] = texts[1::2]
-        parts.append(close)
+        parts.append(item + "]")
         return "".join(parts)
 
-    return _array_slabs(depth, kept.size, values, slab_text)
+    return _Array(amps.size, values, slab)
 
 
-def _sample_block(samples: np.ndarray, depth: int) -> _Slabs:
-    """The list of Monte Carlo fidelity samples, as report text."""
+def _sample_block(samples: np.ndarray) -> _Array:
+    """The list of Monte Carlo fidelity samples."""
     # Samples rarely repeat, so each is formatted on its own.
-    return _array_slabs(depth, samples.size, samples,
-                        lambda start, stop, sep: sep.join(map(repr, samples[start:stop].tolist())))
+    return _Array(samples.size, samples, lambda start, stop, depth: (
+        ",\n" + "  " * (depth + 1)).join(map(repr, samples[start:stop].tolist())))
 
 
 def _estimate_block(seq: PulseSequence, per_pulse_fidelity: float) -> dict[str, Any]:
@@ -316,11 +289,10 @@ def build_run_report(
                 f"--full would list {listed} amplitudes ({dim} a state), "
                 f"over the limit of {MAX_REPORT_AMPLITUDES}"
             )
-    # Each state becomes its report text as the run goes, so none outlives its step.
+    # Each step's kept amplitudes are copied as the run goes, so no state outlives its step.
     final, step_blocks = run(
         seq, n_max=n_max,
-        snapshot=(lambda state: _amplitude_block(state, full, _SNAPSHOT_KEY_DEPTH))
-        if want_snapshots else None,
+        snapshot=(lambda state: _amplitude_block(state, full)) if want_snapshots else None,
     )
     report_fields = verify_run(final, seq.n_ions)
     doc: dict[str, Any] = {
@@ -331,7 +303,7 @@ def build_run_report(
             "n_max": n_max,
             "full": full,
         },
-        "final_state": _amplitude_block(final, full, _KEY_DEPTH),
+        "final_state": _amplitude_block(final, full),
         "verification": {
             "fidelity": report_fields.fidelity,
             "stabilizer_expectations": list(report_fields.stabilizer_expectations),
@@ -377,7 +349,7 @@ def build_noise_report(
         },
         "mean_fidelity": result.mean_fidelity,
         "std_error": result.std_error,
-        "samples": _sample_block(result.samples, _KEY_DEPTH),
+        "samples": _sample_block(result.samples),
         "fidelity_estimate": estimate,
     }
 
@@ -427,11 +399,14 @@ def _check_out(out: str | None) -> None:
 
 def _render_into(value: Any, depth: int, out: list[str]) -> None:
     indent = "\n" + "  " * (depth + 1)
-    if isinstance(value, _Slabs):
-        assert value.depth == depth, "array text written for another nesting depth"
-        if value.error is not None:
-            raise value.error
-        out.extend(value.pieces)
+    if isinstance(value, _Array):
+        if not np.isfinite(value.values).all():  # json refuses the first non-finite float
+            list(_SCALARS.iterencode(float(value.values[~np.isfinite(value.values)][0])))
+        sep = "["
+        for start in range(0, value.count, SLAB_ITEMS):
+            out += sep + indent, value.slab(start, min(start + SLAB_ITEMS, value.count), depth)
+            sep = ","
+        out.append(indent[:-2] + "]" if value.count else "[]")
     elif isinstance(value, dict) and value:
         sep = "{"
         for key, item in value.items():
@@ -453,7 +428,7 @@ def _render_into(value: Any, depth: int, out: list[str]) -> None:
 def _render(doc: Any) -> list[str]:
     """The text of ``json.dumps(doc, indent=2, allow_nan=False) + "\\n"``, in pieces.
 
-    ``doc`` holds string keys, JSON scalars and ``_Slabs``; a non-finite
+    ``doc`` holds string keys, JSON scalars and ``_Array``s; a non-finite
     float raises the ValueError ``json`` raises for it.
     """
     out: list[str] = []

@@ -47,6 +47,8 @@ MAX_AMPLITUDES = 2**24
 #: report is held as text until it is written, about 90 B a listed
 #: amplitude: chain:12 --full at n_max=2, which the cap admits, writes
 #: 144 MB and peaks at 0.22 GB RSS, and the cap itself is about 190 MB.
+#: Until then each ``--full`` snapshot also keeps its state's read-only
+#: amplitudes, at most 32 MB at the cap.
 MAX_REPORT_AMPLITUDES = 2**21
 
 #: Bytes of state one block of a dense pass covers (see ``ion_blocks``).

@@ -217,17 +217,35 @@ class TestRun:
         seen = []
         block = cli._amplitude_block
 
-        def checked(state, full, depth):
-            # Each state is turned into report text while its step is the
+        def checked(state, full):
+            # Each state's kept amplitudes are copied while its step is the
             # latest; the final report reads the last one again.
             assert all(ref() is None or ref() is state for ref in seen)
             seen.append(weakref.ref(state))
-            return block(state, full, depth)
+            return block(state, full)
 
         monkeypatch.setattr(cli, "_amplitude_block", checked)
         code, out, _ = run_cli(capsys, "run", "--protocol", "chain:4", "--snapshots")
         assert code == 0
         assert len(json.loads(out)["snapshots"]) == len(seen) - 1 == 7
+
+    def test_snapshot_without_full_holds_no_state_vector(self, monkeypatch):
+        states = []
+        block = cli._amplitude_block
+
+        def recorded(state, full):
+            states.append(state)
+            return block(state, full)
+
+        monkeypatch.setattr(cli, "_amplitude_block", recorded)
+        doc = cli.build_run_report(chain_sequence(4), "chain:4", 2, 0.93, True, False)
+        assert len(doc["snapshots"]) == len(states) - 1 == 7
+        for snap in doc["snapshots"]:
+            array = snap["amplitudes"]
+            held = [array.values, *(cell.cell_contents for cell in array.slab.__closure__)]
+            assert not any(isinstance(x, register.RegisterState) for x in held)
+            assert not any(np.shares_memory(x, state.amplitudes) for x in held
+                           if isinstance(x, np.ndarray) for state in states)
 
     def test_sequence_file_roundtrip_equals_builtin_run(self, capsys, tmp_path):
         path = tmp_path / "seq.json"
@@ -579,9 +597,11 @@ def test_amplitude_triples_match_the_loop_at_the_floor(seed, n_ions):
     for full in (False, True):
         # The text keeps the sign of a zero, which == on the floats would not.
         expected = json.dumps(old_amplitude_triples(state, full), indent=2)
-        for depth in (cli._KEY_DEPTH, cli._SNAPSHOT_KEY_DEPTH):
-            block = cli._amplitude_block(state, full, depth)
-            assert "".join(block.pieces) == expected.replace("\n", "\n" + "  " * depth)
+        block = cli._amplitude_block(state, full)
+        for depth in (1, 3):  # a top-level key's value, and a snapshot entry's
+            out = []
+            cli._render_into(block, depth, out)
+            assert "".join(out) == expected.replace("\n", "\n" + "  " * depth)
 
 
 class TestArguments:
@@ -904,7 +924,7 @@ def _with_part(state, index, value):
 
 @functools.cache
 def _blocks():
-    """name -> (renders the block at a depth, the list json.dumps is given)."""
+    """name -> (the block, the list json.dumps is given); one block serves every depth."""
     big = _state_with_kept(10, 1, 65537, seed=5)  # 118,098 amplitudes
     big_triples = old_amplitude_triples(big, False)
     nonzero = np.flatnonzero(big.amplitudes)
@@ -914,28 +934,25 @@ def _blocks():
         amps = big.amplitudes.copy()
         amps[nonzero[count:]] = 0.0
         state = register.RegisterState(10, 1, amps)
-        blocks[f"amplitudes-{count}"] = (
-            functools.partial(cli._amplitude_block, state, False), big_triples[:count])
+        blocks[f"amplitudes-{count}"] = (cli._amplitude_block(state, False), big_triples[:count])
     for count in (0, 1, 9):
         state = _state_with_kept(2, 2, count, seed=count)
-        blocks[f"amplitudes-{count}"] = (
-            functools.partial(cli._amplitude_block, state, False),
-            old_amplitude_triples(state, False))
-    blocks["amplitudes-full"] = (functools.partial(cli._amplitude_block, small, True),
+        blocks[f"amplitudes-{count}"] = (cli._amplitude_block(state, False),
+                                         old_amplitude_triples(state, False))
+    blocks["amplitudes-full"] = (cli._amplitude_block(small, True),
                                  old_amplitude_triples(small, True))
     samples = np.random.default_rng(7).choice(SPECIAL_FLOATS + [0.1, 0.2, 0.3], 65537)
     samples[5::7] = np.random.default_rng(8).random(samples[5::7].size)
     for name, values in [("samples-0", samples[:0]), ("samples-3", samples[:3]),
                          ("samples-65537", samples)]:
-        blocks[name] = (functools.partial(cli._sample_block, values), values.tolist())
+        blocks[name] = (cli._sample_block(values), values.tolist())
     # Non-finite parts: a NaN amplitude is below the floor, so it shows under --full.
     for name, state, full in [("amplitudes-nan", _with_part(small, 3, math.nan), True),
                               ("amplitudes-inf", _with_part(small, 8, -math.inf), False)]:
-        blocks[name] = (functools.partial(cli._amplitude_block, state, full),
-                        old_amplitude_triples(state, full))
+        blocks[name] = (cli._amplitude_block(state, full), old_amplitude_triples(state, full))
     for name, values in [("samples-nan", np.array([0.5, math.nan, -0.0])),
                          ("samples-inf", np.array([math.inf]))]:
-        blocks[name] = (functools.partial(cli._sample_block, values), values.tolist())
+        blocks[name] = (cli._sample_block(values), values.tolist())
     return blocks
 
 
@@ -968,12 +985,12 @@ def _documents(tree, depth, texts):
     dumped once rather than in every example.
     """
     if isinstance(tree, Block):
-        render, items = _blocks()[tree.name]
+        block, items = _blocks()[tree.name]
         if len(items) < 65535:
-            return render(depth), items
+            return block, items
         key = f"\x00block {len(texts)}"
         texts[json.dumps(key)] = _block_text(tree.name, depth)
-        return render(depth), key
+        return block, key
     if isinstance(tree, dict):
         pairs = {k: _documents(v, depth + 1, texts) for k, v in tree.items()}
         return {k: v[0] for k, v in pairs.items()}, {k: v[1] for k, v in pairs.items()}

@@ -28,6 +28,8 @@ above run inline),
 ``theta.json`` one whose step repeats its ``theta`` field.  Comparing two
 trees is then one ``diff`` of two outputs.  A command that exits with
 another code stops the tool with its exit code and stderr.
+``hash_lines(SRC_DIR)`` yields the same lines to a caller, and
+``tests/test_contract.py`` pins them for this checkout.
 """
 
 from __future__ import annotations
@@ -154,11 +156,12 @@ RAW_TEXTS = {
 }
 
 
-def main(argv: list[str]) -> int:
-    if len(argv) != 1:
-        print("usage: python3 tools/report_hashes.py SRC_DIR", file=sys.stderr)
-        return 2
-    env = dict(os.environ, PYTHONPATH=os.path.abspath(argv[0]), OPENBLAS_NUM_THREADS="1")
+def hash_lines(src_dir: str):
+    """Run every command against the ``ionchain`` in ``src_dir``; yield its line in turn.
+
+    Stops with ``SystemExit`` at the first command that breaks its pinned outcome.
+    """
+    env = dict(os.environ, PYTHONPATH=os.path.abspath(src_dir), OPENBLAS_NUM_THREADS="1")
     with tempfile.TemporaryDirectory() as cwd:
         for name, doc in (("hot.json", HOT_SEQUENCE), ("carriers.json", CARRIER_SEQUENCE),
                           ("one.json", ONE_SEQUENCE), ("split.json", SPLIT_SEQUENCE)):
@@ -175,17 +178,25 @@ def main(argv: list[str]) -> int:
             if proc.returncode != code:
                 sys.stderr.write(proc.stderr.decode(errors="replace"))
                 print(f"exit {proc.returncode}: {' '.join(args)}", file=sys.stderr)
-                return proc.returncode or 1
+                raise SystemExit(proc.returncode or 1)
             if code == 0:
                 digest = hashlib.sha256(proc.stdout).hexdigest()[:16]
-                print(f"{digest}  {' '.join(args)}")
+                yield f"{digest}  {' '.join(args)}"
             else:
                 if proc.stdout or proc.stderr.count(b"\n") != 1 or not proc.stderr.endswith(b"\n"):
                     print(f"refusal is not one stderr line with empty stdout: {' '.join(args)}",
                           file=sys.stderr)
-                    return 1
+                    raise SystemExit(1)
                 digest = hashlib.sha256(proc.stderr).hexdigest()[:16]
-                print(f"{digest}  exit {code}  {' '.join(args)}")
+                yield f"{digest}  exit {code}  {' '.join(args)}"
+
+
+def main(argv: list[str]) -> int:
+    if len(argv) != 1:
+        print("usage: python3 tools/report_hashes.py SRC_DIR", file=sys.stderr)
+        return 2
+    for line in hash_lines(argv[0]):
+        print(line)
     return 0
 
 
