@@ -38,8 +38,8 @@ from .noise import NoiseConfig, fidelity_estimate, monte_carlo
 from .protocol import PulseSequence, chain_sequence, cluster6_sequence, run
 from .pulse import Pulse, PulseKind
 from .register import (
-    LEVEL_NAMES, LEVELS_BY_NAME, MAX_REPORT_AMPLITUDES, IonPrep, RegisterState,
-    basis_labels, check_register_size, require_int, require_real,
+    LEVEL_NAMES, LEVELS_BY_NAME, IonPrep, RegisterState, basis_labels,
+    check_register_size, require_int, require_real,
 )
 from .verify import verify_run
 
@@ -191,6 +191,14 @@ def load_sequence(path: str) -> PulseSequence:
 #: lists a slab is joined from stay bounded whatever the report's size.
 SLAB_ITEMS = 1 << 16
 
+#: Most amplitudes a ``--full`` report may list over all its states.  A
+#: report is held as text until it is written, about 90 B a listed
+#: amplitude: chain:12 --full at n_max=2, which the cap admits, writes
+#: 144 MB and peaks at 0.22 GB RSS, and the cap itself is about 190 MB.
+#: Until then each ``--full`` snapshot also keeps its state's read-only
+#: amplitudes, at most 32 MB at the cap.
+MAX_REPORT_AMPLITUDES = 2**21
+
 
 # Writes JSON scalars.  Its iterencode runs json's pure-Python encoder, as
 # json.dumps(indent=2) does, whose refusal of a non-finite float names the
@@ -305,14 +313,8 @@ def build_run_report(
         },
         "final_state": _amplitude_block(final, full),
         "verification": {
-            "fidelity": report_fields.fidelity,
-            "stabilizer_expectations": list(report_fields.stabilizer_expectations),
-            "leakage_eprime": report_fields.leakage_eprime,
-            "leakage_mode": report_fields.leakage_mode,
-            "global_phase": [
-                report_fields.global_phase.real,
-                report_fields.global_phase.imag,
-            ],
+            **vars(report_fields),
+            "global_phase": [report_fields.global_phase.real, report_fields.global_phase.imag],
         },
         "fidelity_estimate": estimate,
     }
@@ -343,12 +345,10 @@ def build_noise_report(
             "n_ions": seq.n_ions,
             "n_max": n_max,
             "per_pulse_fidelity": per_pulse_fidelity,
-            "jitter_sigma": cfg.jitter_sigma,
-            "trials": cfg.trials,
-            "seed": cfg.seed,
+            **vars(cfg),
         },
-        "mean_fidelity": result.mean_fidelity,
-        "std_error": result.std_error,
+        # vars, not asdict, which would deep-copy the samples.
+        **vars(result),
         "samples": _sample_block(result.samples),
         "fidelity_estimate": estimate,
     }

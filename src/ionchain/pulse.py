@@ -120,12 +120,13 @@ def rotate_pairs(a, b, c, s, phi: float, out_a, out_b, work) -> None:
     Sets ``out_a = c*a - e^{+i phi} s*b`` and ``out_b = c*b + e^{-i phi} s*a``;
     no output may overlap an input.  ``work`` is a flat complex buffer of at
     least three times ``a.size``, whose head holds three contiguous arrays
-    of the pairs' shape for the partial products, so the call allocates
-    nothing and may run on any thread; none is computed in place, because
-    numpy rounds a one-element complex product in place without the fused
-    multiply-add it uses elsewhere.  Sideband pairs are (|g,m+1>, |x,m>) and
-    carrier pairs (|e>, |g>); the dense pulses and the batched Monte Carlo
-    both go through this one expression, so they agree bitwise.
+    of the pairs' shape for the partial products (allocating them per call
+    made the Monte Carlo 2-15% slower; README, "Kernel and benchmark").
+    None is computed in place, because numpy rounds a one-element complex
+    product in place without the fused multiply-add it uses elsewhere.
+    Sideband pairs are (|g,m+1>, |x,m>) and carrier pairs (|e>, |g>); the
+    dense pulses and the batched Monte Carlo both go through this one
+    expression, so they agree bitwise.
     """
     e_plus = np.exp(1j * phi)
     e_minus = np.exp(-1j * phi)

@@ -12,10 +12,11 @@ phonon number is the least significant index.  Written kets such as
 index decomposition.
 
 ``basis_shape`` writes this layout once and ``ion_axes`` views it per ion:
-every pulse, the Monte Carlo compile and the stabilizer checks read and
-write amplitudes through that view.  ``blockwise`` runs a dense pass over
-the slab-aligned blocks that ``ion_blocks`` cuts the same view into, on up
-to one thread per CPU, each with its own scratch.
+every pulse, the Monte Carlo compile, the reference cluster state and the
+stabilizer checks read and write amplitudes through that view.
+``blockwise`` runs a dense pass over the slab-aligned blocks that
+``ion_blocks`` cuts the same view into, on up to one thread per CPU, each
+with its own scratch.
 """
 
 from __future__ import annotations
@@ -42,14 +43,6 @@ PREP_NORM_ATOL = 1e-9
 #: Largest amplitude vector the simulator allocates: 2**24 complex128
 #: values, 268 MB.  Admits 14 ions at n_max=2 and 12 ions up to n_max=30.
 MAX_AMPLITUDES = 2**24
-
-#: Most amplitudes a ``--full`` report may list over all its states.  A
-#: report is held as text until it is written, about 90 B a listed
-#: amplitude: chain:12 --full at n_max=2, which the cap admits, writes
-#: 144 MB and peaks at 0.22 GB RSS, and the cap itself is about 190 MB.
-#: Until then each ``--full`` snapshot also keeps its state's read-only
-#: amplitudes, at most 32 MB at the cap.
-MAX_REPORT_AMPLITUDES = 2**21
 
 #: Bytes of state one block of a dense pass covers (see ``ion_blocks``).
 BLOCK_BYTES = 1 << 19

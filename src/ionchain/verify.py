@@ -23,11 +23,11 @@ from .register import (
     IonLevel,
     RegisterState,
     _shown,
-    basis_shape,
     blockwise,
     check_register_size,
     global_phase_alignment,
     inner_product,
+    ion_axes,
     mode_population,
     population,
 )
@@ -57,7 +57,8 @@ def reference_cluster(n_qubits: int, n_max: int = 2) -> RegisterState:
     # Flat and read-only, so the state adopts it instead of copying.
     amps = np.zeros(dim, dtype=np.complex128)
     signs = np.where(flips % 2 == 1, -scale, scale)
-    amps.reshape(basis_shape(n_qubits, n_max))[(*levels.T, 0)] = signs
+    # Axes: (no earlier ion, ion 1, ..., ion N, no later ion, mode).
+    ion_axes(amps, 1, n_max, n_qubits)[(0, *levels.T, 0, 0)] = signs
     amps.setflags(write=False)
     return RegisterState(n_qubits, n_max, amps)
 

@@ -24,7 +24,7 @@ from ionchain import (
     population,
     run,
 )
-from ionchain.pulse import coupled_pairs, pulse_tables
+from ionchain.pulse import coupled_pairs, pulse_tables, rotate_pairs
 from ionchain.register import ion_axes
 from conftest import amp, ket, make_random_state, oracle_basis_index, permute_other_ions
 
@@ -135,6 +135,45 @@ class TestPulseTables:
         c, _ = pulse_tables(PulseKind.SIDEBAND_GE, 1.3, 2)
         want = [math.cos(0.65), math.cos(0.65 * math.sqrt(2))]
         assert c == pytest.approx(want, abs=1e-15)
+
+
+def test_rotate_pairs_is_elementwise_whatever_the_length_or_layout():
+    """Each output of ``rotate_pairs`` is bitwise what a one-element call gives.
+
+    The dense pulses and the batched Monte Carlo hand the kernel pairs of
+    every length and layout, so they agree only if no element's bits depend
+    on the arrays around it: whole strided pair views with broadcast Fock-row
+    tables, and contiguous arrays of lengths 2 to 65, against per-element
+    one-element copies.
+    """
+    rng = np.random.default_rng(7)
+    n_max = 3
+    calls = []
+    for kind in PulseKind:
+        source = rng.normal(size=3**4 * (n_max + 1)) + 1j * rng.normal(size=3**4 * (n_max + 1))
+        target = np.empty_like(source)
+        a, b, _ = coupled_pairs(ion_axes(source, 2, n_max), kind)
+        out_a, out_b, _ = coupled_pairs(ion_axes(target, 2, n_max), kind)
+        c, s = pulse_tables(kind, rng.uniform(0.0, 4.0), n_max)
+        calls.append((a, b, c, s, rng.uniform(-math.pi, math.pi), out_a, out_b))
+    for size in range(2, 66):
+        a, b = rng.normal(size=(2, size)) + 1j * rng.normal(size=(2, size))
+        c, s = rng.normal(size=(2, size))
+        calls.append((a, b, c, s, rng.uniform(-math.pi, math.pi),
+                      np.empty(size, complex), np.empty(size, complex)))
+    bits = lambda x: np.ascontiguousarray(x).view(np.uint64)
+    for a, b, c, s, phi, out_a, out_b in calls:
+        rotate_pairs(a, b, c, s, phi, out_a, out_b, np.empty(3 * a.size, complex))
+        c, s = np.broadcast_to(c, a.shape), np.broadcast_to(s, a.shape)
+        alone_a, alone_b = np.empty(a.shape, complex), np.empty(a.shape, complex)
+        for i in np.ndindex(a.shape):
+            one_a, one_b = np.empty(1, complex), np.empty(1, complex)
+            rotate_pairs(*(np.array([x[i]]) for x in (a, b, c, s)), phi,
+                         one_a, one_b, np.empty(3, complex))
+            alone_a[i], alone_b[i] = one_a[0], one_b[0]
+        assert np.array_equal(bits(out_a), bits(alone_a))
+        assert np.array_equal(bits(out_b), bits(alone_b))
+
 
 class TestGadgets:
     def test_parameter_table(self):
