@@ -14,8 +14,10 @@ so the basis states a program can populate follow from its initial support
 and pulse pattern, whatever the areas.  The program is compiled once into
 index pairs over those states (262 of 3,645 for the six-ion program at
 n_max=4), and batches of trials step through it as (support, trials) arrays.
-A batch is as many trials as one ``register.BLOCK_BYTES`` block of a dense
-pass holds (16 bytes per trial and reachable state): 125 for that program.
+A batch is as many trials as ``BATCH_BYTES`` holds (16 bytes per trial and
+reachable state): 125 for that program.  It is a budget of its own, not the
+dense passes' ``register.BLOCK_BYTES``: batches of a 1 MiB dense block made
+the six-ion sweep slower.
 """
 
 from __future__ import annotations
@@ -25,7 +27,6 @@ from typing import NamedTuple
 
 import numpy as np
 
-from . import register
 from .errors import TruncationError, ValidationError, prefixed
 from .protocol import PulseSequence, run
 from .pulse import (
@@ -37,6 +38,9 @@ from .pulse import (
     rotate_pairs,
 )
 from .register import MAX_AMPLITUDES, ion_axes, new_register, require_int, require_real
+
+#: Bytes of amplitudes one Monte Carlo batch holds (see ``monte_carlo``).
+BATCH_BYTES = 1 << 19
 
 
 @dataclass(frozen=True)
@@ -152,7 +156,7 @@ def _evolve(
     replay = np.zeros(trials, dtype=bool)
     # Each step's outputs and scratch are contiguous slices of one buffer.
     widest = max((step.pairs.size for step in steps), default=0)
-    buffer = np.empty(5 * widest * trials // 2, dtype=amps.dtype)
+    buffer = np.empty(3 * widest * trials, dtype=amps.dtype)
     for step, theta in zip(steps, thetas.T):
         c, s = pulse_tables(step.pulse.kind, theta, n_max)
         replay |= ~np.isfinite(c).all(axis=1)
@@ -190,12 +194,12 @@ def monte_carlo(
     ideal run, one compile of the pulse pattern into index pairs, then per
     batch a (support, trials) complex array that every step gathers, rotates
     and scatters in place.  Memory is bounded by the dense ideal state and
-    the compile's dense index arrays, plus a batch of at most one
-    ``register.BLOCK_BYTES`` block (512 KiB; one trial if a single trial is
-    larger) and one buffer for its per-step outputs and scratch, whatever
-    the trial count.  Each sample is scored against the dense ideal state
-    through one reused dense row, so it is bitwise the fidelity a dense run
-    of the trial would give.
+    the compile's dense index arrays, plus a batch of at most
+    ``BATCH_BYTES`` (512 KiB; one trial if a single trial is larger) and one
+    buffer for its per-step outputs and scratch, whatever the trial count.
+    Each sample is scored against the dense ideal state through one reused
+    dense row, so it is bitwise the fidelity a dense run of the trial would
+    give.
 
     The batch only flags trials that may fail: a guard probability on
     |x,n_max> near or above 1e-12, or an area that overflows.  Flagged
@@ -217,7 +221,7 @@ def monte_carlo(
     support, steps = _compile(seq, initial, n_max)
     areas = np.array([step.theta for step in seq.steps])
     jittered = np.array([step.kind in SIDEBAND_KINDS for step in seq.steps], dtype=bool)
-    batch = max(1, register.BLOCK_BYTES // (16 * support.size))
+    batch = max(1, BATCH_BYTES // (16 * support.size))
     rng = np.random.default_rng(cfg.seed)
     samples = np.empty(cfg.trials, dtype=np.float64)
     start_amps = initial[support]

@@ -119,26 +119,29 @@ def rotate_pairs(a, b, c, s, phi: float, out_a, out_b, work) -> None:
 
     Sets ``out_a = c*a - e^{+i phi} s*b`` and ``out_b = c*b + e^{-i phi} s*a``;
     no output may overlap an input.  ``work`` is a flat complex buffer of at
-    least three times ``a.size``, whose head holds three contiguous arrays
-    of the pairs' shape for the partial products (allocating them per call
+    least four times ``a.size``, whose head holds four contiguous arrays of
+    the pairs' shape for the partial products (allocating them per call
     made the Monte Carlo 2-15% slower; README, "Kernel and benchmark").
-    None is computed in place, because numpy rounds a one-element complex
-    product in place without the fused multiply-add it uses elsewhere.
-    Sideband pairs are (|g,m+1>, |x,m>) and carrier pairs (|e>, |g>); the
-    dense pulses and the batched Monte Carlo both go through this one
-    expression, so they agree bitwise.
+    All six products are formed before either output is written, which
+    made the batched Monte Carlo faster than alternating them.  None is
+    computed in place, because numpy rounds a one-element complex product
+    in place without the fused multiply-add it uses elsewhere.  Sideband
+    pairs are (|g,m+1>, |x,m>) and carrier pairs (|e>, |g>); the dense
+    pulses (one Fock row at a time, with scalar tables ``c[m]``, ``s[m]``)
+    and the batched Monte Carlo (whole (pairs, trials) arrays) both go
+    through this one expression, so they agree bitwise.
     """
     e_plus = np.exp(1j * phi)
     e_minus = np.exp(-1j * phi)
-    first, second, third = work[: 3 * a.size].reshape(3, *a.shape)
-    np.multiply(c, a, out=first)
-    np.multiply(s, b, out=second)
-    np.multiply(e_plus, second, out=third)
-    np.subtract(first, third, out=out_a)
-    np.multiply(c, b, out=first)
-    np.multiply(s, a, out=second)
-    np.multiply(e_minus, second, out=third)
-    np.add(first, third, out=out_b)
+    ca, spare, esb, esa = work[: 4 * a.size].reshape(4, *a.shape)
+    np.multiply(c, a, out=ca)
+    np.multiply(s, b, out=spare)
+    np.multiply(e_plus, spare, out=esb)
+    np.multiply(s, a, out=spare)
+    np.multiply(e_minus, spare, out=esa)
+    cb = np.multiply(c, b, out=spare)
+    np.subtract(ca, esb, out=out_a)
+    np.add(cb, esa, out=out_b)
 
 
 def apply_pulse(state: RegisterState, pulse: Pulse) -> RegisterState:
@@ -149,7 +152,10 @@ def apply_pulse(state: RegisterState, pulse: Pulse) -> RegisterState:
     raises ValidationError when its area overflows a rotation angle.  Both
     checks read the whole vector on the calling thread; the copy into the
     new buffer and the rotation then run block by block on all CPUs
-    (``blockwise``), each worker with its own scratch.
+    (``blockwise``), each worker with its own scratch.  A block rotates one
+    Fock row at a time with that row's scalar cos and sin, so each numpy
+    loop runs over a whole row of pairs instead of over the n_max entries of
+    a broadcast table (a carrier's rows are equal, and it loops alike).
     """
     require_int(pulse.ion, "ion", 1, state.n_ions)
     _, _, top = coupled_pairs(ion_axes(state.amplitudes, pulse.ion, state.n_max), pulse.kind)
@@ -172,7 +178,9 @@ def apply_pulse(state: RegisterState, pulse: Pulse) -> RegisterState:
         np.copyto(target, source)
         a, b, _ = coupled_pairs(source, pulse.kind)
         out_a, out_b, _ = coupled_pairs(target, pulse.kind)
-        rotate_pairs(a, b, c, s, pulse.phi, out_a, out_b, work)
+        for m in range(len(c)):
+            rotate_pairs(a[..., m], b[..., m], c[m], s[m], pulse.phi,
+                         out_a[..., m], out_b[..., m], work)
 
     blockwise(rotate_block, state.amplitudes, out, pulse.ion, state.n_max)
     out.setflags(write=False)

@@ -45,13 +45,16 @@ PREP_NORM_ATOL = 1e-9
 MAX_AMPLITUDES = 2**24
 
 #: Bytes of state one block of a dense pass covers (see ``ion_blocks``).
-BLOCK_BYTES = 1 << 19
+#: With pulses rotating one Fock row at a time, 1 MiB blocks ran chain:12
+#: faster than 512 KiB blocks (README, "Kernel and benchmark").
+BLOCK_BYTES = 1 << 20
 
 #: Blocks a dense pass needs for each worker thread, so a vector of
 #: fewer than twice this many (8 MiB) runs inline on the calling thread:
 #: below that, starting threads and moving the state between the CPUs'
-#: caches cost more than the second CPU saves.
-WORKER_BLOCKS = 8
+#: caches cost more than the second CPU saves.  Halved when BLOCK_BYTES
+#: doubled, so every vector splits as it did on 512 KiB blocks.
+WORKER_BLOCKS = 4
 
 
 class IonLevel(IntEnum):
@@ -324,13 +327,15 @@ def new_register(preps: Sequence[IonPrep], n_max: int) -> RegisterState:
     n_max : int
         Fock cutoff; the mode keeps levels 0..n_max.
     """
-    check_register_size(len(preps), n_max)
-    amps = np.ones(1, dtype=np.complex128)
+    dim = check_register_size(len(preps), n_max)
+    ions = np.ones(1, dtype=np.complex128)
     for prep in preps:
-        amps = np.kron(amps, prep.coefficients)
+        ions = np.kron(ions, prep.coefficients)
     mode = np.zeros(n_max + 1, dtype=np.complex128)
     mode[0] = 1.0
-    amps = np.kron(amps, mode)
+    # The last product goes straight into an array the state adopts, uncopied.
+    amps = np.empty(dim, dtype=np.complex128)
+    np.multiply(ions[:, None], mode, out=amps.reshape(-1, n_max + 1))
     amps /= np.linalg.norm(amps)
     amps.setflags(write=False)
     return RegisterState(n_ions=len(preps), n_max=n_max, amplitudes=amps)

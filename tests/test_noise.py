@@ -28,7 +28,7 @@ from ionchain import (
     new_register,
     run,
 )
-from ionchain import noise, register
+from ionchain import noise
 from ionchain.cli import load_sequence
 from ionchain.errors import prefixed
 from ionchain.noise import _compile
@@ -361,16 +361,16 @@ class TestBatchedParity:
             assert assert_parity(seq, cfg, n_max=1) == "validation"
 
     def test_batch_size_arithmetic(self, monkeypatch):
-        # A batch is as many support-sized trial columns as one dense block holds.
-        assert 16 * 262 * 125 <= register.BLOCK_BYTES < 16 * 262 * 126
+        # A batch is as many support-sized trial columns as BATCH_BYTES holds.
+        assert 16 * 262 * 125 <= noise.BATCH_BYTES < 16 * 262 * 126
         cfg = NoiseConfig(jitter_sigma=0.02, trials=10, seed=1)
         assert batch_sizes(monkeypatch, cluster6_sequence(), cfg, 4) == [10]
         # chain:10's support at n_max 5 is 10,886 states, 174 KB a trial.
         assert support_size(chain_sequence(10), 5) == 10_886
         cfg = NoiseConfig(jitter_sigma=0.02, trials=7, seed=1)
         assert batch_sizes(monkeypatch, chain_sequence(10), cfg, 5) == [3, 3, 1]
-        # Never zero, however large a trial is against the block.
-        monkeypatch.setattr(register, "BLOCK_BYTES", 16 * 262 - 1)
+        # Never zero, however large a trial is against the budget.
+        monkeypatch.setattr(noise, "BATCH_BYTES", 16 * 262 - 1)
         cfg = NoiseConfig(jitter_sigma=0.02, trials=4, seed=1)
         assert batch_sizes(monkeypatch, cluster6_sequence(), cfg, 4) == [1] * 4
 
@@ -384,7 +384,7 @@ class TestBatchedParity:
         outcomes = [monte_carlo(seq, cfg, n_max=n_max).samples.tobytes()]
         for per_batch in (1, 3):
             with monkeypatch.context() as patched:
-                patched.setattr(register, "BLOCK_BYTES", block * per_batch)
+                patched.setattr(noise, "BATCH_BYTES", block * per_batch)
                 outcomes.append(monte_carlo(seq, cfg, n_max=n_max).samples.tobytes())
         assert outcomes[1] == outcomes[0] and outcomes[2] == outcomes[0]
 
@@ -434,7 +434,7 @@ class TestFailureReplay:
     def test_replays_that_pass_leave_later_batches_alone(self, monkeypatch):
         # Three trials a batch, so flagged rows fall in every batch.
         monkeypatch.setattr("ionchain.noise.TRUNCATION_ATOL", 1e-15)
-        monkeypatch.setattr(register, "BLOCK_BYTES", 16 * support_size(cluster6_sequence(), 2) * 3)
+        monkeypatch.setattr(noise, "BATCH_BYTES", 16 * support_size(cluster6_sequence(), 2) * 3)
         cfg = NoiseConfig(jitter_sigma=2e-6, trials=20, seed=1)
         samples = monte_carlo(cluster6_sequence(), cfg, n_max=2).samples
         assert np.array_equal(samples, trialwise(cluster6_sequence(), cfg, 2))

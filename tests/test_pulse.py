@@ -24,6 +24,7 @@ from ionchain import (
     population,
     run,
 )
+from ionchain import register
 from ionchain.pulse import coupled_pairs, pulse_tables, rotate_pairs
 from ionchain.register import ion_axes
 from conftest import amp, ket, make_random_state, oracle_basis_index, permute_other_ions
@@ -143,8 +144,9 @@ def test_rotate_pairs_is_elementwise_whatever_the_length_or_layout():
     The dense pulses and the batched Monte Carlo hand the kernel pairs of
     every length and layout, so they agree only if no element's bits depend
     on the arrays around it: whole strided pair views with broadcast Fock-row
-    tables, and contiguous arrays of lengths 2 to 65, against per-element
-    one-element copies.
+    tables, one Fock row's strided slice of them with its scalar table
+    entries (the dense pulses' call), and contiguous arrays of lengths 2 to
+    65, against per-element one-element copies.
     """
     rng = np.random.default_rng(7)
     n_max = 3
@@ -156,6 +158,9 @@ def test_rotate_pairs_is_elementwise_whatever_the_length_or_layout():
         out_a, out_b, _ = coupled_pairs(ion_axes(target, 2, n_max), kind)
         c, s = pulse_tables(kind, rng.uniform(0.0, 4.0), n_max)
         calls.append((a, b, c, s, rng.uniform(-math.pi, math.pi), out_a, out_b))
+        for m in range(len(c)):
+            calls.append((a[..., m], b[..., m], c[m], s[m], rng.uniform(-math.pi, math.pi),
+                          out_a[..., m], out_b[..., m]))
     for size in range(2, 66):
         a, b = rng.normal(size=(2, size)) + 1j * rng.normal(size=(2, size))
         c, s = rng.normal(size=(2, size))
@@ -163,16 +168,50 @@ def test_rotate_pairs_is_elementwise_whatever_the_length_or_layout():
                       np.empty(size, complex), np.empty(size, complex)))
     bits = lambda x: np.ascontiguousarray(x).view(np.uint64)
     for a, b, c, s, phi, out_a, out_b in calls:
-        rotate_pairs(a, b, c, s, phi, out_a, out_b, np.empty(3 * a.size, complex))
+        rotate_pairs(a, b, c, s, phi, out_a, out_b, np.empty(4 * a.size, complex))
         c, s = np.broadcast_to(c, a.shape), np.broadcast_to(s, a.shape)
         alone_a, alone_b = np.empty(a.shape, complex), np.empty(a.shape, complex)
         for i in np.ndindex(a.shape):
             one_a, one_b = np.empty(1, complex), np.empty(1, complex)
             rotate_pairs(*(np.array([x[i]]) for x in (a, b, c, s)), phi,
-                         one_a, one_b, np.empty(3, complex))
+                         one_a, one_b, np.empty(4, complex))
             alone_a[i], alone_b[i] = one_a[0], one_b[0]
         assert np.array_equal(bits(out_a), bits(alone_a))
         assert np.array_equal(bits(out_b), bits(alone_b))
+
+
+@pytest.mark.parametrize("split", [False, True], ids=["default", "split"])
+@pytest.mark.parametrize("n_max", [1, 2, 3, 4, 5])
+def test_dense_pulse_is_one_kernel_call_on_the_whole_pair_views(monkeypatch, n_max, split):
+    """``apply_pulse`` writes the bytes of one ``rotate_pairs`` call on whole views.
+
+    The oracle is one call on the full ``coupled_pairs`` views with the
+    broadcast Fock-row tables.  ``apply_pulse`` may cut that call into blocks,
+    worker threads and Fock rows, but not change a bit, signed zeros
+    included, whether it runs inline or split three ways.
+    """
+    if split:
+        monkeypatch.setattr(register, "BLOCK_BYTES", 36 * 16)
+        monkeypatch.setattr(register, "_cpus", lambda: 3)
+        monkeypatch.setattr(register, "WORKER_BLOCKS", 1)
+    rng = np.random.default_rng(n_max)
+    n_ions = 5
+    amps = make_random_state(rng, n_ions, n_max).amplitudes.copy()
+    amps.reshape(-1, n_max + 1)[:, n_max] = 0.0  # no guard fires, on any ion
+    for part in (amps.real, amps.imag):
+        zeros = rng.random(amps.size) < 0.2
+        part[zeros] = rng.choice([0.0, -0.0], size=zeros.sum())
+    assert np.signbit(amps.real[amps.real == 0]).any()
+    state = RegisterState(n_ions, n_max, amps)
+    for kind in PulseKind:
+        for ion in (1, 3, 5):
+            pulse = Pulse(kind, ion, rng.uniform(-math.pi, math.pi), rng.uniform(-4.0, 4.0))
+            want = state.amplitudes.copy()
+            a, b, _ = coupled_pairs(ion_axes(state.amplitudes, ion, n_max), kind)
+            out_a, out_b, _ = coupled_pairs(ion_axes(want, ion, n_max), kind)
+            c, s = pulse_tables(kind, pulse.theta, n_max)
+            rotate_pairs(a, b, c, s, pulse.phi, out_a, out_b, np.empty(4 * a.size, complex))
+            assert apply_pulse(state, pulse).amplitudes.tobytes() == want.tobytes()
 
 
 class TestGadgets:

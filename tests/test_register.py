@@ -52,6 +52,34 @@ class TestNewRegister:
         assert np.linalg.norm(state.amplitudes) == pytest.approx(1.0, abs=1e-12)
         assert mode_population(state, 0) == pytest.approx(1.0, abs=1e-12)
 
+    @pytest.mark.parametrize("n_max", [1, 2, 3, 4])
+    @pytest.mark.parametrize("n_ions", range(2, 9))
+    def test_owns_the_bytes_of_the_kron_product(self, monkeypatch, n_ions, n_max):
+        rng = np.random.default_rng(10 * n_ions + n_max)
+        preps = []
+        for _ in range(n_ions):
+            coeffs = rng.normal(size=3) + 1j * rng.normal(size=3)
+            coeffs[1:][rng.random(2) < 0.3] = 0.0
+            preps.append(IonPrep(zip(IonLevel, coeffs / np.linalg.norm(coeffs))))
+        given = []
+
+        def adopted(**fields):
+            given.append(fields["amplitudes"])
+            return RegisterState(**fields)
+
+        monkeypatch.setattr(register, "RegisterState", adopted)
+        state = new_register(preps, n_max)
+        # The state keeps the array new_register wrote, instead of a copy of it.
+        assert state.amplitudes is given[0] and state.amplitudes.base is None
+        kron = np.ones(1, dtype=np.complex128)
+        for prep in preps:
+            kron = np.kron(kron, prep.coefficients)
+        mode = np.zeros(n_max + 1, dtype=np.complex128)
+        mode[0] = 1.0
+        kron = np.kron(kron, mode)
+        kron /= np.linalg.norm(kron)
+        assert state.amplitudes.tobytes() == kron.tobytes()
+
     def test_rejects_empty_and_bad_cutoff(self):
         with pytest.raises(ValidationError):
             new_register([], n_max=2)

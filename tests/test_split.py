@@ -39,6 +39,7 @@ from ionchain import (
 from ionchain import pulse, register
 from ionchain.register import blockwise, ion_blocks
 from step_fixtures import expected_states
+from test_contract import _report_hashes
 
 #: Bytes of a forced block: 36 amplitudes, a few slabs or part of one.
 SMALL_BLOCK = 36 * 16
@@ -177,7 +178,7 @@ def test_small_vector_starts_no_thread():
         def __init__(self, *args, **kwargs):
             raise AssertionError("a vector of under 2 * WORKER_BLOCKS blocks started a thread")
 
-    # cluster6 is one block; chain:10 at n_max=2 (2.8 MB) is six.
+    # cluster6 is one block; chain:10 at n_max=2 (2.8 MB) is three.
     for seq in (cluster6_sequence(), chain_sequence(10)):
         final, _ = run(seq, 2)
         with (
@@ -186,6 +187,17 @@ def test_small_vector_starts_no_thread():
         ):
             run(seq, 2)
             stabilizer_expectations(final)
+
+
+def test_split_program_runs_on_worker_threads():
+    # The split.json program of tools/report_hashes.py (11 ions at --n-max 2,
+    # 8.5 MB) must cut into enough blocks for two workers on every ion it
+    # addresses under the default constants, or its pinned line covers no
+    # threaded pass.
+    program = _report_hashes().SPLIT_SEQUENCE
+    vector = np.empty(3 ** len(program["ions"]) * 3, dtype=np.complex128)
+    for ion in sorted({step["ion"] for step in program["steps"]}):
+        assert len(ion_blocks(vector, ion, 2)) >= 2 * register.WORKER_BLOCKS, ion
 
 
 def test_forced_split_runs_on_three_threads():

@@ -113,7 +113,7 @@ CARRIER_SEQUENCE = {
 _HALF = [{"level": "g", "re": 0.6, "im": 0.0}, {"level": "e", "re": 0.0, "im": 0.8}]
 
 # Every pulse kind on ions 1, 5 and 10 of an 8.5 MB vector (11 ions at
-# --n-max 2: 17 blocks, enough for two worker threads); each g-e' loop and
+# --n-max 2: 9 blocks, enough for two worker threads); each g-e' loop and
 # each sideband that lifts the mode to two phonons is undone by its inverse,
 # so no guard fires and no e' population is left for the stabilizers.
 SPLIT_SEQUENCE = {
