@@ -110,14 +110,15 @@ class _Step(NamedTuple):
     top: np.ndarray  # reachable |x,n_max> states: the guard, empty for a carrier
 
 
-def _compile(
-    seq: PulseSequence, initial: np.ndarray, n_max: int
-) -> tuple[np.ndarray, list[_Step]]:
-    """Reachable dense indices of ``seq`` and its steps' pairs among them.
+def _compile(seq: PulseSequence, n_max: int) -> tuple[np.ndarray, np.ndarray, list[_Step]]:
+    """Reachable dense indices of ``seq``, its initial amplitudes there, and its steps.
 
     Each step keeps only the pairs touching a state reachable before it, so
-    the support is the union of the steps' own reachable sets.
+    the support is the union of the steps' own reachable sets.  The dense
+    initial register and index grid live only while this runs; the steps
+    hold positions in the sorted support, found by ``np.searchsorted``.
     """
+    initial = new_register(list(seq.preps), n_max).amplitudes
     reach = initial != 0
     grid = np.arange(reach.size)
     dense_steps = []
@@ -131,13 +132,11 @@ def _compile(
         reach[pairs] = True
         dense_steps.append((pairs, rows[live], top))
     support = np.flatnonzero(reach)
-    compact = np.empty(reach.size, dtype=np.intp)
-    compact[support] = np.arange(support.size)
     steps = [
-        _Step(pulse, compact[pairs], rows, compact[top])
+        _Step(pulse, np.searchsorted(support, pairs), rows, np.searchsorted(support, top))
         for pulse, (pairs, rows, top) in zip(seq.steps, dense_steps)
     ]
-    return support, steps
+    return support, initial[support], steps
 
 
 def _evolve(
@@ -193,13 +192,13 @@ def monte_carlo(
     Trials run in batches over the program's reachable subspace: one dense
     ideal run, one compile of the pulse pattern into index pairs, then per
     batch a (support, trials) complex array that every step gathers, rotates
-    and scatters in place.  Memory is bounded by the dense ideal state and
-    the compile's dense index arrays, plus a batch of at most
+    and scatters in place.  The compile's dense initial register and index
+    grid are freed when it returns, so the sweep holds two dense vectors,
+    the ideal state and one reused scoring row, plus a batch of at most
     ``BATCH_BYTES`` (512 KiB; one trial if a single trial is larger) and one
     buffer for its per-step outputs and scratch, whatever the trial count.
-    Each sample is scored against the dense ideal state through one reused
-    dense row, so it is bitwise the fidelity a dense run of the trial would
-    give.
+    Each sample is scored against the dense ideal state through the scoring
+    row, so it is bitwise the fidelity a dense run of the trial would give.
 
     The batch only flags trials that may fail: a guard probability on
     |x,n_max> near or above 1e-12, or an area that overflows.  Flagged
@@ -217,14 +216,12 @@ def monte_carlo(
     needs 5.
     """
     ideal, _ = run(seq, n_max=n_max)
-    initial = new_register(list(seq.preps), n_max).amplitudes
-    support, steps = _compile(seq, initial, n_max)
+    support, start_amps, steps = _compile(seq, n_max)
     areas = np.array([step.theta for step in seq.steps])
     jittered = np.array([step.kind in SIDEBAND_KINDS for step in seq.steps], dtype=bool)
     batch = max(1, BATCH_BYTES // (16 * support.size))
     rng = np.random.default_rng(cfg.seed)
     samples = np.empty(cfg.trials, dtype=np.float64)
-    start_amps = initial[support]
     dense = np.zeros(ideal.dim, dtype=np.complex128)
     for start in range(0, cfg.trials, batch):
         size = min(batch, cfg.trials - start)

@@ -117,17 +117,19 @@ def pulse_tables(kind: PulseKind, theta, n_max: int) -> tuple[np.ndarray, np.nda
 def rotate_pairs(a, b, c, s, phi: float, out_a, out_b, work) -> None:
     """Write the closed-form pulse on coupled amplitude pairs (a, b).
 
-    Sets ``out_a = c*a - e^{+i phi} s*b`` and ``out_b = c*b + e^{-i phi} s*a``;
-    no output may overlap an input.  ``work`` is a flat complex buffer of at
+    Sets ``out_a = c*a - e^{+i phi} s*b`` and ``out_b = c*b + e^{-i phi} s*a``.
+    ``out_a`` may be ``a`` and ``out_b`` may be ``b``, because all six
+    products are formed in ``work`` before either output is written; any
+    other overlap is forbidden.  ``work`` is a flat complex buffer of at
     least four times ``a.size``, whose head holds four contiguous arrays of
     the pairs' shape for the partial products (allocating them per call
     made the Monte Carlo 2-15% slower; README, "Kernel and benchmark").
-    All six products are formed before either output is written, which
-    made the batched Monte Carlo faster than alternating them.  None is
-    computed in place, because numpy rounds a one-element complex product
-    in place without the fused multiply-add it uses elsewhere.  Sideband
-    pairs are (|g,m+1>, |x,m>) and carrier pairs (|e>, |g>); the dense
-    pulses (one Fock row at a time, with scalar tables ``c[m]``, ``s[m]``)
+    Forming all six first also made the batched Monte Carlo faster than
+    alternating products and outputs.  No product is computed in place,
+    because numpy rounds a one-element complex product in place without
+    the fused multiply-add it uses elsewhere.  Sideband pairs are
+    (|g,m+1>, |x,m>) and carrier pairs (|e>, |g>); the dense pulses (one
+    Fock row at a time, with scalar tables ``c[m]``, ``s[m]``, in place)
     and the batched Monte Carlo (whole (pairs, trials) arrays) both go
     through this one expression, so they agree bitwise.
     """
@@ -150,12 +152,13 @@ def apply_pulse(state: RegisterState, pulse: Pulse) -> RegisterState:
     A sideband pulse raises TruncationError instead of running when the
     state carries more than 1e-12 probability on |x, n_max>, and any pulse
     raises ValidationError when its area overflows a rotation angle.  Both
-    checks read the whole vector on the calling thread; the copy into the
-    new buffer and the rotation then run block by block on all CPUs
-    (``blockwise``), each worker with its own scratch.  A block rotates one
-    Fock row at a time with that row's scalar cos and sin, so each numpy
-    loop runs over a whole row of pairs instead of over the n_max entries of
-    a broadcast table (a carrier's rows are equal, and it loops alike).
+    checks read the whole vector on the calling thread; the rest runs block
+    by block on all CPUs (``blockwise``), each worker with its own scratch.
+    A block task copies its block into the new buffer, then turns the pairs
+    of that copy in place, one Fock row at a time with that row's scalar
+    cos and sin, so each numpy loop runs over a whole row of pairs instead
+    of over the n_max entries of a broadcast table (a carrier's rows are
+    equal, and it loops alike).
     """
     require_int(pulse.ion, "ion", 1, state.n_ions)
     _, _, top = coupled_pairs(ion_axes(state.amplitudes, pulse.ion, state.n_max), pulse.kind)
@@ -176,11 +179,10 @@ def apply_pulse(state: RegisterState, pulse: Pulse) -> RegisterState:
 
     def rotate_block(source, target, work) -> None:
         np.copyto(target, source)
-        a, b, _ = coupled_pairs(source, pulse.kind)
-        out_a, out_b, _ = coupled_pairs(target, pulse.kind)
+        a, b, _ = coupled_pairs(target, pulse.kind)
         for m in range(len(c)):
             rotate_pairs(a[..., m], b[..., m], c[m], s[m], pulse.phi,
-                         out_a[..., m], out_b[..., m], work)
+                         a[..., m], b[..., m], work)
 
     blockwise(rotate_block, state.amplitudes, out, pulse.ion, state.n_max)
     out.setflags(write=False)

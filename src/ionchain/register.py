@@ -69,14 +69,16 @@ LEVEL_NAMES = {IonLevel.G: "g", IonLevel.E: "e", IonLevel.EPRIME: "eprime"}
 LEVELS_BY_NAME = {name: level for level, name in LEVEL_NAMES.items()}
 
 
+@dataclass(frozen=True, init=False, repr=False)
 class IonPrep:
     """Initial pure state of one ion, given as (level, coefficient) pairs.
 
     Levels are integers 0..2 and coefficients finite numbers, normalized
-    within ``PREP_NORM_ATOL``; accepted preparations are renormalized exactly.
+    within ``PREP_NORM_ATOL``; accepted preparations are renormalized exactly
+    and kept as the g, e, e' coefficients, which cannot be changed.
     """
 
-    __slots__ = ("coefficients",)
+    coefficients: tuple[complex, complex, complex]
 
     def __init__(self, pairs: Iterable[tuple[IonLevel, complex]]):
         coeffs = np.zeros(3, dtype=np.complex128)
@@ -91,22 +93,12 @@ class IonPrep:
             raise ValidationError(
                 f"ion preparation has norm {norm!r}, expected 1 within {PREP_NORM_ATOL}"
             )
-        coeffs /= norm
-        coeffs.setflags(write=False)
-        self.coefficients = coeffs
+        object.__setattr__(self, "coefficients", tuple((coeffs / norm).tolist()))
 
     @classmethod
     def basis(cls, level: IonLevel) -> "IonPrep":
         """Preparation in a single bare level."""
         return cls([(level, 1.0)])
-
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, IonPrep):
-            return NotImplemented
-        return bool(np.array_equal(self.coefficients, other.coefficients))
-
-    def __hash__(self):
-        return hash(self.coefficients.tobytes())
 
     def __repr__(self) -> str:
         terms = [
@@ -141,7 +133,7 @@ class RegisterState:
 
     @property
     def dim(self) -> int:
-        return math.prod(basis_shape(self.n_ions, self.n_max))
+        return self.amplitudes.size
 
     def shaped(self) -> np.ndarray:
         """View with one axis per ion (size 3) plus the mode axis (last)."""

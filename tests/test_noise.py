@@ -32,7 +32,8 @@ from ionchain import noise
 from ionchain.cli import load_sequence
 from ionchain.errors import prefixed
 from ionchain.noise import _compile
-from ionchain.register import MAX_AMPLITUDES
+from ionchain.pulse import coupled_pairs
+from ionchain.register import MAX_AMPLITUDES, ion_axes
 
 # Frozen on first computation: cluster6, sigma=0.02, trials=1000, seed=1,
 # n_max=4 (jittered runs need Fock headroom above the ideal-run cutoff).
@@ -258,7 +259,7 @@ def assert_parity(seq: PulseSequence, cfg: NoiseConfig, n_max: int) -> str:
 
 def support_size(seq: PulseSequence, n_max: int) -> int:
     """Basis states ``seq`` can reach at ``n_max``, whatever the areas."""
-    support, _ = _compile(seq, new_register(list(seq.preps), n_max).amplitudes, n_max)
+    support, _, _ = _compile(seq, n_max)
     return support.size
 
 
@@ -521,6 +522,83 @@ def test_batched_matches_trialwise_on_random_programs(case):
 
 
 # ---------------------------------------------------------------------------
+# The compiled arrays, against a compile with a dense position map
+# ---------------------------------------------------------------------------
+
+
+def _position_map_compile(seq: PulseSequence, n_max: int):
+    """Support, start amplitudes and (pulse, pairs, rows, top) steps of ``seq``.
+
+    The oracle keeps the whole dense initial register and maps dense indices
+    to support positions through a dense position array.
+    """
+    initial = new_register(list(seq.preps), n_max).amplitudes
+    reach = initial != 0
+    grid = np.arange(reach.size)
+    dense_steps = []
+    for step in seq.steps:
+        first, second, top = coupled_pairs(ion_axes(grid, step.ion, n_max), step.kind)
+        rows = np.broadcast_to(np.arange(first.shape[-1]), first.shape)
+        top = top.ravel()
+        top = top[reach[top]]
+        live = reach[first] | reach[second]
+        pairs = np.concatenate((first[live], second[live]))
+        reach[pairs] = True
+        dense_steps.append((pairs, rows[live], top))
+    support = np.flatnonzero(reach)
+    position = np.empty(reach.size, dtype=np.intp)
+    position[support] = np.arange(support.size)
+    steps = [
+        (pulse, position[pairs], rows, position[top])
+        for pulse, (pairs, rows, top) in zip(seq.steps, dense_steps)
+    ]
+    return support, initial[support], steps
+
+
+def assert_compiles_alike(seq: PulseSequence, n_max: int) -> None:
+    support, start, steps = _compile(seq, n_max)
+    want_support, want_start, want_steps = _position_map_compile(seq, n_max)
+    assert np.array_equal(support, want_support)
+    assert start.tobytes() == want_start.tobytes()
+    assert len(steps) == len(want_steps)
+    for step, (pulse, pairs, rows, top) in zip(steps, want_steps):
+        assert step.pulse == pulse
+        for got, want in ((step.pairs, pairs), (step.rows, rows), (step.top, top)):
+            assert np.array_equal(got, want)
+
+
+@pytest.mark.parametrize(
+    "n_ions, n_max",
+    [(n, m) for n in range(2, 11) for m in range(1, 6) if 3**n * (m + 1) <= 2**20],
+)
+def test_compile_matches_the_position_map_on_chains(n_ions, n_max):
+    assert_compiles_alike(chain_sequence(n_ions), n_max)
+
+
+@pytest.mark.parametrize("n_max", [1, 2, 3, 4])
+def test_compile_matches_the_position_map_on_the_carrier_program(n_max):
+    assert_compiles_alike(CARRIER_PROGRAM, n_max)
+
+
+@st.composite
+def compiled_programs(draw):
+    n_ions = draw(st.integers(1, 5))
+    angles = st.floats(-2 * math.pi, 2 * math.pi, allow_nan=False)
+    steps = draw(st.lists(
+        st.builds(Pulse, st.sampled_from(list(PulseKind)), st.integers(1, n_ions), angles, angles),
+        max_size=8,
+    ))
+    preps = draw(st.lists(st.sampled_from(_PREPS), min_size=n_ions, max_size=n_ions))
+    return PulseSequence(preps, steps), draw(st.integers(1, 4))
+
+
+@settings(max_examples=100, derandomize=True, database=None, deadline=None)
+@given(compiled_programs())
+def test_compile_matches_the_position_map_on_random_programs(case):
+    assert_compiles_alike(*case)
+
+
+# ---------------------------------------------------------------------------
 # The cutoff no jitter can truncate
 # ---------------------------------------------------------------------------
 
@@ -528,7 +606,7 @@ def test_batched_matches_trialwise_on_random_programs(case):
 def _guard_states(n_ions: int, n_max: int) -> int:
     """Reachable |x,n_max> states summed over chain:N's steps, whatever the areas."""
     seq = chain_sequence(n_ions)
-    _, steps = _compile(seq, new_register(list(seq.preps), n_max).amplitudes, n_max)
+    _, _, steps = _compile(seq, n_max)
     return sum(step.top.size for step in steps)
 
 

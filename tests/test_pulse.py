@@ -145,8 +145,10 @@ def test_rotate_pairs_is_elementwise_whatever_the_length_or_layout():
     every length and layout, so they agree only if no element's bits depend
     on the arrays around it: whole strided pair views with broadcast Fock-row
     tables, one Fock row's strided slice of them with its scalar table
-    entries (the dense pulses' call), and contiguous arrays of lengths 2 to
-    65, against per-element one-element copies.
+    entries, and contiguous arrays of lengths 2 to 65, against per-element
+    one-element copies.  The row slices and the contiguous arrays are also
+    turned in place (``out_a`` is ``a``, ``out_b`` is ``b``), as the dense
+    pulses call it on the block they have just copied.
     """
     rng = np.random.default_rng(7)
     n_max = 3
@@ -156,26 +158,31 @@ def test_rotate_pairs_is_elementwise_whatever_the_length_or_layout():
         target = np.empty_like(source)
         a, b, _ = coupled_pairs(ion_axes(source, 2, n_max), kind)
         out_a, out_b, _ = coupled_pairs(ion_axes(target, 2, n_max), kind)
+        in_a, in_b, _ = coupled_pairs(ion_axes(source.copy(), 2, n_max), kind)
         c, s = pulse_tables(kind, rng.uniform(0.0, 4.0), n_max)
         calls.append((a, b, c, s, rng.uniform(-math.pi, math.pi), out_a, out_b))
         for m in range(len(c)):
             calls.append((a[..., m], b[..., m], c[m], s[m], rng.uniform(-math.pi, math.pi),
                           out_a[..., m], out_b[..., m]))
+            calls.append((in_a[..., m], in_b[..., m], c[m], s[m],
+                          rng.uniform(-math.pi, math.pi), in_a[..., m], in_b[..., m]))
     for size in range(2, 66):
         a, b = rng.normal(size=(2, size)) + 1j * rng.normal(size=(2, size))
         c, s = rng.normal(size=(2, size))
         calls.append((a, b, c, s, rng.uniform(-math.pi, math.pi),
                       np.empty(size, complex), np.empty(size, complex)))
+        a, b = a.copy(), b.copy()
+        calls.append((a, b, c, s, rng.uniform(-math.pi, math.pi), a, b))
     bits = lambda x: np.ascontiguousarray(x).view(np.uint64)
     for a, b, c, s, phi, out_a, out_b in calls:
-        rotate_pairs(a, b, c, s, phi, out_a, out_b, np.empty(4 * a.size, complex))
-        c, s = np.broadcast_to(c, a.shape), np.broadcast_to(s, a.shape)
+        tables = np.broadcast_to(c, a.shape), np.broadcast_to(s, a.shape)
         alone_a, alone_b = np.empty(a.shape, complex), np.empty(a.shape, complex)
         for i in np.ndindex(a.shape):
             one_a, one_b = np.empty(1, complex), np.empty(1, complex)
-            rotate_pairs(*(np.array([x[i]]) for x in (a, b, c, s)), phi,
+            rotate_pairs(*(np.array([x[i]]) for x in (a, b, *tables)), phi,
                          one_a, one_b, np.empty(4, complex))
             alone_a[i], alone_b[i] = one_a[0], one_b[0]
+        rotate_pairs(a, b, c, s, phi, out_a, out_b, np.empty(4 * a.size, complex))
         assert np.array_equal(bits(out_a), bits(alone_a))
         assert np.array_equal(bits(out_b), bits(alone_b))
 

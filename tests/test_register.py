@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import dataclasses
 import math
 
 import numpy as np
@@ -99,6 +100,26 @@ class TestNewRegister:
     def test_prep_tolerates_tiny_norm_error(self):
         prep = IonPrep([(IonLevel.G, 1.0 + 1e-10)])
         assert np.linalg.norm(prep.coefficients) == pytest.approx(1.0, abs=1e-15)
+
+
+class TestIonPrep:
+    def test_cannot_be_changed_once_built(self):
+        # A changed preparation would let new_register build an all-NaN state.
+        prep = IonPrep.basis(IonLevel.G)
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            prep.coefficients = np.zeros(3)
+        assert prep.coefficients == (1.0, 0.0, 0.0)
+
+    def test_equal_preparations_are_equal_and_hash_equal(self):
+        a = IonPrep([(IonLevel.G, 0.6), (IonLevel.E, 0.8j)])
+        b = IonPrep([(IonLevel.E, 0.5j), (IonLevel.G, 0.6), (IonLevel.E, 0.3j)])
+        assert a == b and hash(a) == hash(b)
+        assert a != IonPrep([(IonLevel.G, 0.6), (IonLevel.E, -0.8j)])
+        assert len({a, b, IonPrep.basis(IonLevel.G)}) == 2
+
+    def test_repr(self):
+        prep = IonPrep([(IonLevel.G, 0.6), (IonLevel.E, 0.8j)])
+        assert repr(prep) == "IonPrep(g:0.6+0j, e:0+0.8j)"
 
 
 class TestAmplitudeCap:
