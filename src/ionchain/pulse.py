@@ -100,18 +100,30 @@ def coupled_pairs(axes: np.ndarray, kind: PulseKind):
     return axes[:, 0, :, 1:], axes[:, x_level, :, :-1], axes[:, x_level, :, -1]
 
 
-def pulse_tables(kind: PulseKind, theta, n_max: int) -> tuple[np.ndarray, np.ndarray]:
-    """cos and sin of the half angle each pair turns by, Fock row m last.
+def pulse_rates(kind: PulseKind, n_max: int) -> np.ndarray:
+    """Angle per unit area of each Fock row's pairs, in row order.
 
     Sideband pair m turns by theta*sqrt(m+1)/2 (n_max rows) and every carrier
     pair by theta/2 (n_max+1 equal rows), so every kind's tables index alike.
-    ``theta`` may be an array of areas, one row each.  An angle that
+    """
+    return np.sqrt(np.arange(1.0, n_max + 1)) if kind in SIDEBAND_KINDS else np.ones(n_max + 1)
+
+
+def turn_tables(theta, rates) -> tuple[np.ndarray, np.ndarray]:
+    """cos and sin of ``0.5 * theta[..., None] * rates``: the half angles pairs turn by.
+
+    ``theta`` may be an array of areas and ``rates`` any array that
+    broadcasts against ``theta[..., None]``, rows last.  An angle that
     overflows gives NaN entries, without a warning.
     """
-    rates = np.sqrt(np.arange(1.0, n_max + 1)) if kind in SIDEBAND_KINDS else np.ones(n_max + 1)
     with np.errstate(over="ignore", invalid="ignore"):
         half = 0.5 * np.asarray(theta)[..., None] * rates
         return np.cos(half), np.sin(half)
+
+
+def pulse_tables(kind: PulseKind, theta, n_max: int) -> tuple[np.ndarray, np.ndarray]:
+    """cos and sin of the half angle each of a pulse's Fock rows turns by, row m last."""
+    return turn_tables(theta, pulse_rates(kind, n_max))
 
 
 def rotate_pairs(a, b, c, s, phi: float, out_a, out_b, work) -> None:

@@ -32,7 +32,7 @@ from ionchain import noise
 from ionchain.cli import load_sequence
 from ionchain.errors import prefixed
 from ionchain.noise import _compile
-from ionchain.pulse import coupled_pairs
+from ionchain.pulse import coupled_pairs, turn_tables
 from ionchain.register import MAX_AMPLITUDES, ion_axes
 
 # Frozen on first computation: cluster6, sigma=0.02, trials=1000, seed=1,
@@ -264,7 +264,11 @@ def support_size(seq: PulseSequence, n_max: int) -> int:
 
 
 def batch_sizes(monkeypatch, seq: PulseSequence, cfg: NoiseConfig, n_max: int) -> list[int]:
-    """Trials in each batch ``monte_carlo`` evolves, in order."""
+    """Trials in each batch ``monte_carlo`` evolves, in order.
+
+    The first ``_evolve`` call is the ideal program's one column, not a
+    batch of trials, so it is not recorded.
+    """
     sizes = []
     evolve = noise._evolve
 
@@ -275,7 +279,8 @@ def batch_sizes(monkeypatch, seq: PulseSequence, cfg: NoiseConfig, n_max: int) -
     with monkeypatch.context() as patched:
         patched.setattr(noise, "_evolve", recorded)
         monte_carlo(seq, cfg, n_max=n_max)
-    return sizes
+    assert sizes[0] == 1
+    return sizes[1:]
 
 
 # The two-ion program of tools/report_hashes.py's carriers.json: jittered
@@ -596,6 +601,144 @@ def compiled_programs(draw):
 @given(compiled_programs())
 def test_compile_matches_the_position_map_on_random_programs(case):
     assert_compiles_alike(*case)
+
+
+# ---------------------------------------------------------------------------
+# The ideal state is the compact engine's zero-jitter column
+# ---------------------------------------------------------------------------
+
+
+def compact_ideal(seq: PulseSequence, n_max: int) -> np.ndarray:
+    """The ideal column ``monte_carlo`` evolves, expanded into a zero dense vector."""
+    columns = []
+    evolve = noise._evolve
+
+    def recorded(amps, *args):
+        replay = evolve(amps, *args)
+        columns.append(amps)
+        return replay
+
+    with pytest.MonkeyPatch.context() as patched:
+        patched.setattr(noise, "_evolve", recorded)
+        monte_carlo(seq, NoiseConfig(), n_max=n_max)
+    support, _, _ = _compile(seq, n_max)
+    dense = np.zeros(3**seq.n_ions * (n_max + 1), dtype=complex)
+    dense[support] = columns[0][:, 0]
+    return dense
+
+
+def assert_ideal_is_the_dense_run(seq: PulseSequence, n_max: int) -> None:
+    """Same nonzero positions and values; or the same refusal.
+
+    Every nonzero real or imaginary part is bitwise equal.  A zero part of a
+    nonzero amplitude may differ in sign (one part at chain:7 and n_max 2,
+    five at chain:10 and n_max 2), since the dense run also turns pairs of
+    states no pulse has populated yet; neither ``np.vdot`` nor ``abs(...)**2``
+    sees that sign, so the part-wise ``==`` below is the check that matters.
+    """
+    try:
+        want = run(seq, n_max=n_max)[0].amplitudes
+    except (TruncationError, ValidationError) as err:
+        with pytest.raises(type(err)) as got:
+            monte_carlo(seq, NoiseConfig(), n_max=n_max)
+        assert str(got.value) == str(err) and got.value.trial_index is None
+        return
+    got = compact_ideal(seq, n_max)
+    nonzero = np.flatnonzero(want)
+    assert np.array_equal(np.flatnonzero(got), nonzero)
+    assert np.array_equal(got[nonzero].view(float), want[nonzero].view(float))
+
+
+def counted_runs(seq: PulseSequence, cfg: NoiseConfig, n_max: int):
+    """(dense ``run`` calls ``monte_carlo`` made, its result or the error it raised)."""
+    calls = []
+    dense_run = noise.run
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return dense_run(*args, **kwargs)
+
+    with pytest.MonkeyPatch.context() as patched:
+        patched.setattr(noise, "run", counted)
+        kind, outcome = _outcome(lambda: monte_carlo(seq, cfg, n_max=n_max))
+    return len(calls), kind, outcome
+
+
+# The one-ion program of tools/report_hashes.py's hot.json: its third pulse
+# would couple probability past the cutoff at n_max=1.
+HOT_PROGRAM = PulseSequence(
+    (IonPrep.basis(IonLevel.E),),
+    (
+        Pulse(PulseKind.SIDEBAND_GE, 1, math.pi, math.pi),
+        Pulse(PulseKind.CARRIER, 1, 0.0, math.pi),
+        Pulse(PulseKind.SIDEBAND_GE, 1, math.pi, 0.5),
+    ),
+)
+
+
+class TestIdealColumn:
+    @pytest.mark.parametrize(
+        "n_ions, n_max",
+        [(n, m) for n in range(2, 11) for m in range(1, 6) if 3**n * (m + 1) <= 2**20],
+    )
+    def test_chains(self, n_ions, n_max):
+        assert_ideal_is_the_dense_run(chain_sequence(n_ions), n_max)
+
+    @pytest.mark.parametrize("n_max", [1, 2, 3, 4])
+    def test_carrier_program(self, n_max):
+        assert_ideal_is_the_dense_run(CARRIER_PROGRAM, n_max)
+
+    def test_program_without_steps(self):
+        prep = IonPrep([(IonLevel.G, 0.6), (IonLevel.EPRIME, 0.8j)])
+        seq = PulseSequence((prep, IonPrep.basis(IonLevel.E)), ())
+        assert_ideal_is_the_dense_run(seq, 2)
+        result = monte_carlo(seq, NoiseConfig(jitter_sigma=0.3, trials=3), n_max=2)
+        assert np.array_equal(result.samples, trialwise(seq, NoiseConfig(0.3, 3), 2))
+
+    @settings(max_examples=100, derandomize=True, database=None, deadline=None)
+    @given(compiled_programs())
+    def test_random_programs(self, case):
+        assert_ideal_is_the_dense_run(*case)
+
+    def test_sweep_makes_no_dense_run(self):
+        cfg = NoiseConfig(jitter_sigma=0.02, trials=1000, seed=1)
+        calls, kind, result = counted_runs(cluster6_sequence(), cfg, 4)
+        assert (calls, kind) == (0, "samples")
+        assert result.mean_fidelity == pytest.approx(PINNED_MEAN_SIGMA_002, abs=1e-12)
+
+    def test_tables_cover_the_rows_in_use_not_the_cutoff(self):
+        # One sideband from |e,0> reads Fock row 0 only, at any cutoff; the
+        # last column is its largest rate, sqrt(n_max), where it overflows.
+        _, _, steps = _compile(_one_sideband(IonLevel.E, PulseKind.SIDEBAND_GE, 1.0), 100)
+        assert noise._rates(steps, 100).tolist() == [[1.0, 10.0]]
+
+    def test_tables_of_a_long_program_fit_the_batch_budget(self, monkeypatch):
+        # 100 sideband-carrier rounds on one ion read Fock rows 0 to 100:
+        # every step's tables at once would be 8 x 200 x 102 entries, five
+        # times the budget.
+        seq = PulseSequence((IonPrep.basis(IonLevel.E),), [
+            gadget(1) for _ in range(100) for gadget in (half_sideband, carrier)
+        ])
+        sizes = []
+
+        def recorded(theta, rates):
+            sizes.append(np.broadcast_shapes(np.shape(theta) + (1,), rates.shape))
+            return turn_tables(theta, rates)
+
+        monkeypatch.setattr(noise, "turn_tables", recorded)
+        cfg = NoiseConfig(jitter_sigma=0.02, trials=8, seed=1)
+        assert assert_parity(seq, cfg, n_max=120) == "samples"
+        assert max(math.prod(shape) for shape in sizes) * 16 <= noise.BATCH_BYTES
+
+    @pytest.mark.parametrize("seq, n_max, kind", [
+        (HOT_PROGRAM, 1, "truncation"),
+        (_one_sideband(IonLevel.E, PulseKind.SIDEBAND_GE, 1.7e308), 5, "validation"),
+    ], ids=["truncates", "overflows"])
+    def test_failing_ideal_program_is_replayed_once(self, seq, n_max, kind):
+        _, want = _outcome(lambda: run(seq, n_max=n_max))
+        cfg = NoiseConfig(jitter_sigma=0.1, trials=20, seed=0)
+        assert counted_runs(seq, cfg, n_max) == (1, kind, want)
+        assert "trial" not in str(want)
 
 
 # ---------------------------------------------------------------------------
