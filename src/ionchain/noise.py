@@ -42,6 +42,7 @@ from .pulse import (
 )
 from .register import (
     MAX_AMPLITUDES,
+    _one_blas_thread,
     check_register_size,
     ion_axes,
     new_register,
@@ -211,6 +212,7 @@ def _evolve(
     return replay
 
 
+@_one_blas_thread()
 def monte_carlo(
     seq: PulseSequence,
     cfg: NoiseConfig,
@@ -244,7 +246,8 @@ def monte_carlo(
     and one scratch buffer for the steps, allocated once, whatever the trial
     count.  Each sample is scored against the dense ideal vector through a
     scoring row, so it is bitwise the fidelity a dense run of the trial
-    would give.
+    would give; the sweep holds numpy's OpenBLAS at one thread
+    (``register._one_blas_thread``), so no score depends on its thread count.
 
     The evolution only flags columns that may fail: a guard probability on
     |x,n_max> near or above 1e-12, or an area that overflows.  A flagged

@@ -121,11 +121,6 @@ def turn_tables(theta, rates) -> tuple[np.ndarray, np.ndarray]:
         return np.cos(half), np.sin(half)
 
 
-def pulse_tables(kind: PulseKind, theta, n_max: int) -> tuple[np.ndarray, np.ndarray]:
-    """cos and sin of the half angle each of a pulse's Fock rows turns by, row m last."""
-    return turn_tables(theta, pulse_rates(kind, n_max))
-
-
 def rotate_pairs(a, b, c, s, phi: float, out_a, out_b, work) -> None:
     """Write the closed-form pulse on coupled amplitude pairs (a, b).
 
@@ -181,7 +176,7 @@ def apply_pulse(state: RegisterState, pulse: Pulse) -> RegisterState:
             f"past the Fock cutoff n_max={state.n_max}; raise n_max",
             leaked_probability=leak,
         )
-    c, s = pulse_tables(pulse.kind, pulse.theta, state.n_max)
+    c, s = turn_tables(pulse.theta, pulse_rates(pulse.kind, state.n_max))
     if not np.isfinite(c).all():  # cos and sin overflow together
         raise ValidationError(
             f"{pulse.kind.value} pulse on ion {pulse.ion}: area {pulse.theta!r} "

@@ -17,10 +17,20 @@ stabilizer checks read and write amplitudes through that view.
 ``blockwise`` runs a dense pass over the slab-aligned blocks that
 ``ion_blocks`` cuts the same view into, on up to one thread per CPU, each
 with its own scratch.
+
+ionchain's own whole-vector BLAS reductions (``new_register``'s norm,
+``inner_product``, the overlap fallback of ``global_phase_alignment``, the
+stabilizers' ``np.vdot`` and the Monte Carlo scoring) run with numpy's
+bundled OpenBLAS held at one thread (``_one_blas_thread``): a threaded
+reduction rounds differently for each thread count, so this keeps every
+reported float the same whatever thread count the process was given, and
+wakes no OpenBLAS thread to spin on a CPU that a block worker wants.
 """
 
 from __future__ import annotations
 
+import contextlib
+import ctypes
 import functools
 import itertools
 import math
@@ -241,6 +251,58 @@ def _cpus() -> int:
     return os.cpu_count() or 1
 
 
+@functools.lru_cache(maxsize=None)
+def _openblas_threads():
+    """(get, set) of the thread count of numpy's bundled OpenBLAS, or None if it has none."""
+    libs = os.path.join(os.path.dirname(os.path.dirname(np.__file__)), "numpy.libs")
+    try:
+        name = next(f for f in os.listdir(libs) if f.startswith("libscipy_openblas"))
+        lib = ctypes.CDLL(os.path.join(libs, name))
+        get = lib.scipy_openblas_get_num_threads64_
+        set_threads = lib.scipy_openblas_set_num_threads64_
+    except (OSError, StopIteration, AttributeError):
+        return None
+    get.argtypes, get.restype = [], ctypes.c_int
+    set_threads.argtypes, set_threads.restype = [ctypes.c_int], None
+    return get, set_threads
+
+
+_blas_lock = threading.Lock()
+_blas_holders = 0  # bodies inside ``_one_blas_thread`` now, on any thread
+_blas_count = 1  # the thread count the first of them found
+
+
+@contextlib.contextmanager
+def _one_blas_thread():
+    """Run the body with numpy's bundled OpenBLAS on one thread, then restore the count.
+
+    A threaded reduction splits a vector where its thread count says, so its
+    rounding follows that count; on one thread the bits do not.  The count
+    is process-wide, so the first body to enter sets it and the last to
+    leave, even by an exception, puts back the count the first one found:
+    the caller's own BLAS work keeps its threads, also when holds on several
+    threads overlap.  With another BLAS this does nothing.
+    """
+    global _blas_holders, _blas_count
+    blas = _openblas_threads()
+    if blas is None:
+        yield
+        return
+    get, set_threads = blas
+    with _blas_lock:
+        if _blas_holders == 0:
+            _blas_count = get()
+            set_threads(1)
+        _blas_holders += 1
+    try:
+        yield
+    finally:
+        with _blas_lock:
+            _blas_holders -= 1
+            if _blas_holders == 0:
+                set_threads(_blas_count)
+
+
 def blockwise(
     task: Callable[[np.ndarray, np.ndarray, np.ndarray], object],
     source: np.ndarray, target: np.ndarray, ion: int, n_max: int, last: int | None = None,
@@ -251,11 +313,11 @@ def blockwise(
     scratch, as large as the first (largest) block.  A pass uses one worker
     per CPU, at most one per WORKER_BLOCKS blocks.  Each worker claims the
     next unclaimed block until none is left, so a worker whose CPU is shared
-    (with OpenBLAS threads still spinning after a BLAS call, or another
-    process) takes fewer blocks instead of holding the others up.  Worker 0
-    is the calling thread, so one worker runs inline and starts no thread;
-    the others are started here and all are joined before this returns or
-    raises.  The first exception a worker raised is re-raised in the caller.
+    (with another process) takes fewer blocks instead of holding the others
+    up.  Worker 0 is the calling thread, so one worker runs inline and
+    starts no thread; the others are started here and all are joined before
+    this returns or raises.  The first exception a worker raised is
+    re-raised in the caller.
     """
     sources = ion_blocks(source, ion, n_max, last)
     targets = ion_blocks(target, ion, n_max, last)
@@ -309,6 +371,7 @@ def check_register_size(n_ions: int, n_max: int | None = None) -> int:
     return dim
 
 
+@_one_blas_thread()
 def new_register(preps: Sequence[IonPrep], n_max: int) -> RegisterState:
     """Tensor product of the ion preparations with the mode in the vacuum.
 
@@ -341,6 +404,7 @@ def _check_same_space(a: RegisterState, b: RegisterState) -> None:
         )
 
 
+@_one_blas_thread()
 def inner_product(a: RegisterState, b: RegisterState) -> complex:
     """``<a|b>``, conjugate-linear in the first argument."""
     _check_same_space(a, b)
@@ -360,6 +424,7 @@ def mode_population(state: RegisterState, n: int) -> float:
     return float(np.sum(np.abs(state.amplitudes[n :: state.n_max + 1]) ** 2))
 
 
+@_one_blas_thread()
 def global_phase_alignment(reference: RegisterState, state: RegisterState) -> complex:
     """Unit phase ``z`` such that ``z * reference`` best lines up with ``state``.
 

@@ -22,6 +22,7 @@ from .errors import ValidationError
 from .register import (
     IonLevel,
     RegisterState,
+    _one_blas_thread,
     _shown,
     blockwise,
     check_register_size,
@@ -68,6 +69,7 @@ def fidelity(state: RegisterState, ref: RegisterState) -> float:
     return float(abs(inner_product(ref, state)) ** 2)
 
 
+@_one_blas_thread()
 def stabilizer_expectations(state: RegisterState) -> list[float]:
     """<K_a> for a = 1..N, with K_a = Z_(a-1) X_a Z_(a+1) on the g-e subspace.
 
@@ -76,8 +78,9 @@ def stabilizer_expectations(state: RegisterState) -> list[float]:
     ValidationError naming the leaking ion if any ion carries more than
     1e-9 population on e' (the operators are only defined on the qubit
     subspace).  Those checks and each expectation's ``np.vdot`` read the
-    whole vector on the calling thread; the image K_a|psi> is written block
-    by block (``blockwise``).
+    whole vector on the calling thread, with one BLAS thread for the whole
+    loop, so no OpenBLAS thread wakes between the passes; the image K_a|psi>
+    is written block by block (``blockwise``).
     """
     n = state.n_ions
     for ion in range(1, n + 1):

@@ -3,11 +3,9 @@
 Runs the command table of ``tools/report_hashes.py`` against this checkout's
 ``src`` and compares each printed line with the line pinned below: the
 sha256 prefix of a report's stdout, or of a refusal's one stderr line
-together with its exit code.  The child processes run with
-``OPENBLAS_NUM_THREADS=1``, as the tool sets it, because past about 10,000
-amplitudes ``np.vdot`` and ``np.linalg.norm`` round differently on another
-BLAS thread count.  Making the bytes independent of that count (the other
-half of ROADMAP item 11) is still open.
+together with its exit code.  The child processes inherit the test's
+environment, BLAS thread count included: ionchain runs its own BLAS
+reductions on one thread, so the same lines hold under any count.
 """
 
 from __future__ import annotations
@@ -56,3 +54,21 @@ def test_every_report_and_refusal_line_is_pinned():
     tool = _report_hashes()
     assert len(PINNED) == len(tool.COMMANDS) + len(tool.FAILURES) == 23
     assert list(tool.hash_lines(str(ROOT / "src"))) == PINNED
+
+
+def test_threaded_blas_moves_no_report_byte(monkeypatch):
+    """The two reports that a threaded reduction would change keep their lines on two threads.
+
+    Past about 10,000 amplitudes OpenBLAS splits ``np.vdot`` and
+    ``np.linalg.norm`` across its threads, and the split rounds differently;
+    these two commands were the ones whose bytes moved.  OpenBLAS caps its
+    thread count at the number of CPUs, so on one CPU this passes trivially.
+    """
+    tool = _report_hashes()
+    wanted = [line for line in PINNED
+              if line.endswith(("split.json --n-max 2 --snapshots", "--seed 1 --n-max 5"))]
+    assert len(wanted) == 2
+    monkeypatch.setattr(tool, "COMMANDS", [line.split("  ")[-1].split() for line in wanted])
+    monkeypatch.setattr(tool, "FAILURES", [])
+    monkeypatch.setenv("OPENBLAS_NUM_THREADS", "2")
+    assert list(tool.hash_lines(str(ROOT / "src"))) == wanted

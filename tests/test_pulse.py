@@ -25,7 +25,7 @@ from ionchain import (
     run,
 )
 from ionchain import register
-from ionchain.pulse import coupled_pairs, pulse_tables, rotate_pairs
+from ionchain.pulse import EXCITED_LEVEL, coupled_pairs, pulse_rates, rotate_pairs, turn_tables
 from ionchain.register import ion_axes
 from conftest import amp, ket, make_random_state, oracle_basis_index, permute_other_ions
 
@@ -117,23 +117,71 @@ class TestCarrierMap:
                 apply_pulse(state, Pulse(PulseKind.CARRIER, 1, phi_c, theta_c))
 
 
+def hamiltonian_pulse(kind: PulseKind, ion: int, n_ions: int, n_max: int,
+                      phi: float, theta: float) -> np.ndarray:
+    """exp(-i theta H / 2) from the pulse's Hamiltonian, by ``eigh``; no closed form used.
+
+    A sideband couples |g><x| to the truncated a-dagger,
+    H = -i e^{i phi} |g><x| (x) a^+ + h.c., and a carrier drives
+    H = -i e^{i phi} |e><g| + h.c. on every Fock level; both act on ``ion``
+    alone, embedded with ``np.kron`` in basis order.
+    """
+    def level_op(row, col):
+        op = np.zeros((3, 3))
+        op[row, col] = 1.0
+        return np.kron(np.kron(np.eye(3 ** (ion - 1)), op), np.eye(3 ** (n_ions - ion)))
+
+    if kind == PulseKind.CARRIER:
+        raising = np.kron(level_op(IonLevel.E, IonLevel.G), np.eye(n_max + 1))
+    else:
+        a_dagger = np.diag(np.sqrt(np.arange(1.0, n_max + 1)), -1)
+        raising = np.kron(level_op(IonLevel.G, EXCITED_LEVEL[kind]), a_dagger)
+    h = -1j * np.exp(1j * phi) * raising
+    w, v = np.linalg.eigh(h + h.conj().T)
+    return (v * np.exp(-0.5j * theta * w)) @ v.conj().T
+
+
+@pytest.mark.parametrize("n_max", [1, 2, 3, 5])
+@pytest.mark.parametrize("n_ions", [1, 2, 3])
+def test_every_pulse_is_the_exponential_of_its_hamiltonian(n_ions, n_max):
+    """``apply_pulse`` against exp(-i theta H / 2) at general area, phase and Fock row.
+
+    Random normalized states, with |x,n_max> of the addressed ion zeroed for
+    a sideband (the truncated a-dagger leaves it dark, and the guard would
+    refuse it), every kind on every ion, areas in [-20, 20] and phases in
+    [-pi, pi).
+    """
+    rng = np.random.default_rng(100 * n_ions + n_max)
+    worst = 0.0
+    for kind in PulseKind:
+        for ion in range(1, n_ions + 1):
+            for _ in range(3):
+                zero = [] if kind == PulseKind.CARRIER else [(ion, EXCITED_LEVEL[kind])]
+                state = make_random_state(rng, n_ions, n_max, zero_top=zero)
+                phi, theta = rng.uniform(-math.pi, math.pi), rng.uniform(-20.0, 20.0)
+                want = hamiltonian_pulse(kind, ion, n_ions, n_max, phi, theta) @ state.amplitudes
+                got = apply_pulse(state, Pulse(kind, ion, phi, theta)).amplitudes
+                worst = max(worst, float(np.max(np.abs(got - want))))
+    assert worst < 1e-13
+
+
 class TestPulseTables:
     """Every kind's tables end in one Fock-row axis that its pair rows index."""
 
     @pytest.mark.parametrize("kind", list(PulseKind))
     def test_one_entry_per_fock_row_of_the_pairs(self, kind):
         a, _, _ = coupled_pairs(ion_axes(np.arange(3 * 4), 1, 3), kind)
-        c, s = pulse_tables(kind, 1.0, 3)
+        c, s = turn_tables(1.0, pulse_rates(kind, 3))
         assert c.shape == s.shape == a.shape[-1:]
-        rows = pulse_tables(kind, np.array([1.0, -2.0]), 3)[0]
+        rows = turn_tables(np.array([1.0, -2.0]), pulse_rates(kind, 3))[0]
         assert rows.shape == (2, a.shape[-1])
         assert np.array_equal(rows[0], c)
 
     def test_carrier_rows_are_one_rotation(self):
-        c, s = pulse_tables(PulseKind.CARRIER, 1.3, 2)
+        c, s = turn_tables(1.3, pulse_rates(PulseKind.CARRIER, 2))
         assert np.all(c == c[0]) and np.all(s == s[0]) and c.size == 3
         assert (c[0], s[0]) == pytest.approx((math.cos(0.65), math.sin(0.65)), abs=1e-15)
-        c, _ = pulse_tables(PulseKind.SIDEBAND_GE, 1.3, 2)
+        c, _ = turn_tables(1.3, pulse_rates(PulseKind.SIDEBAND_GE, 2))
         want = [math.cos(0.65), math.cos(0.65 * math.sqrt(2))]
         assert c == pytest.approx(want, abs=1e-15)
 
@@ -159,7 +207,7 @@ def test_rotate_pairs_is_elementwise_whatever_the_length_or_layout():
         a, b, _ = coupled_pairs(ion_axes(source, 2, n_max), kind)
         out_a, out_b, _ = coupled_pairs(ion_axes(target, 2, n_max), kind)
         in_a, in_b, _ = coupled_pairs(ion_axes(source.copy(), 2, n_max), kind)
-        c, s = pulse_tables(kind, rng.uniform(0.0, 4.0), n_max)
+        c, s = turn_tables(rng.uniform(0.0, 4.0), pulse_rates(kind, n_max))
         calls.append((a, b, c, s, rng.uniform(-math.pi, math.pi), out_a, out_b))
         for m in range(len(c)):
             calls.append((a[..., m], b[..., m], c[m], s[m], rng.uniform(-math.pi, math.pi),
@@ -216,7 +264,7 @@ def test_dense_pulse_is_one_kernel_call_on_the_whole_pair_views(monkeypatch, n_m
             want = state.amplitudes.copy()
             a, b, _ = coupled_pairs(ion_axes(state.amplitudes, ion, n_max), kind)
             out_a, out_b, _ = coupled_pairs(ion_axes(want, ion, n_max), kind)
-            c, s = pulse_tables(kind, pulse.theta, n_max)
+            c, s = turn_tables(pulse.theta, pulse_rates(kind, n_max))
             rotate_pairs(a, b, c, s, pulse.phi, out_a, out_b, np.empty(4 * a.size, complex))
             assert apply_pulse(state, pulse).amplitudes.tobytes() == want.tobytes()
 

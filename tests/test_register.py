@@ -2,6 +2,8 @@ from __future__ import annotations
 
 import dataclasses
 import math
+import sys
+import threading
 
 import numpy as np
 import pytest
@@ -9,15 +11,18 @@ import pytest
 from ionchain import (
     IonLevel,
     IonPrep,
+    NoiseConfig,
     RegisterState,
     ValidationError,
     chain_sequence,
     global_phase_alignment,
     inner_product,
     mode_population,
+    monte_carlo,
     new_register,
     population,
     reference_cluster,
+    run,
     verify_run,
 )
 from ionchain import register
@@ -78,7 +83,8 @@ class TestNewRegister:
         mode = np.zeros(n_max + 1, dtype=np.complex128)
         mode[0] = 1.0
         kron = np.kron(kron, mode)
-        kron /= np.linalg.norm(kron)
+        with register._one_blas_thread():  # the norm's bits, as new_register takes it
+            kron /= np.linalg.norm(kron)
         assert state.amplitudes.tobytes() == kron.tobytes()
 
     def test_rejects_empty_and_bad_cutoff(self):
@@ -314,3 +320,109 @@ class TestPhaseComparison:
         a = ket([IonLevel.G, IonLevel.E], 0, 1)
         b = ket([IonLevel.E, IonLevel.G], 1, 1)
         assert global_phase_alignment(a, b) == 1 + 0j
+
+
+@pytest.fixture
+def blas_get():
+    """Thread-count getter of numpy's bundled OpenBLAS, set to 2 for the test, then put back."""
+    blas = register._openblas_threads()
+    if blas is None:
+        pytest.skip("this numpy has no bundled OpenBLAS")
+    get, set_threads = blas
+    before = get()
+    set_threads(2)
+    yield get
+    set_threads(before)
+
+
+class TestOneBlasThread:
+    def test_holds_one_thread_and_puts_back_the_count(self, blas_get):
+        outside = blas_get()
+        with register._one_blas_thread():
+            assert blas_get() == 1
+        assert blas_get() == outside
+        with pytest.raises(RuntimeError, match="body"):
+            with register._one_blas_thread():
+                assert blas_get() == 1
+                raise RuntimeError("body")
+        assert blas_get() == outside
+
+    def test_overlapping_holds_on_two_threads_put_back_the_count(self, blas_get):
+        """The count is process-wide: the last hold to leave, not the first, restores it."""
+        outside = blas_get()
+        first_in, second_in, first_out = (threading.Event() for _ in range(3))
+        seen = []
+
+        def first():
+            with register._one_blas_thread():
+                first_in.set()
+                second_in.wait(5)
+            first_out.set()
+
+        def second():
+            first_in.wait(5)
+            with register._one_blas_thread():
+                second_in.set()
+                first_out.wait(5)
+                seen.append(blas_get())
+
+        threads = [threading.Thread(target=f) for f in (first, second)]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(10)
+        assert not any(thread.is_alive() for thread in threads)
+        assert seen == [1] and blas_get() == outside
+
+    def test_many_threads_entering_and_leaving_lose_no_update(self, blas_get):
+        outside = blas_get()
+        seen = []
+
+        def hold_often():
+            for _ in range(5000):
+                with register._one_blas_thread():
+                    seen.append(blas_get())
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=hold_often) for _ in range(8)]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(30)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        assert len(seen) == 40000 and set(seen) == {1}
+        assert register._blas_holders == 0 and blas_get() == outside
+
+    def test_every_blas_reduction_runs_on_one_thread(self, monkeypatch, blas_get):
+        """The norm, the overlaps, the stabilizers and the Monte Carlo scoring see one thread."""
+        outside = blas_get()
+        seq = chain_sequence(3)
+        g, e = ket([IonLevel.G], 0, 1), ket([IonLevel.E], 0, 1)
+        seen = []
+
+        def spy(call):
+            def counted(*args, **kwargs):
+                seen.append(blas_get())
+                return call(*args, **kwargs)
+            return counted
+
+        for module, name in ((np, "vdot"), (np.linalg, "norm")):
+            monkeypatch.setattr(module, name, spy(getattr(module, name)))
+        verify_run(run(seq, n_max=2)[0], 3)
+        global_phase_alignment(g, e)  # no shared amplitude: the overlap fallback
+        monte_carlo(seq, NoiseConfig(jitter_sigma=0.01, trials=3), n_max=2)
+        assert seen and set(seen) == {1}
+        assert blas_get() == outside
+
+    def test_another_blas_build_is_left_alone(self, monkeypatch, blas_get):
+        outside = blas_get()
+        state, _ = run(chain_sequence(4), n_max=2)
+        want = verify_run(state, 4)
+        monkeypatch.setattr(register, "_openblas_threads", lambda: None)
+        with register._one_blas_thread():
+            assert blas_get() == outside
+        assert verify_run(state, 4) == want

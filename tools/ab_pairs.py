@@ -7,9 +7,10 @@ Usage::
 Each root is a checkout holding ``perfbench/worker.py`` and ``src/ionchain``.
 A pair starts one fresh worker process from each checkout, its own
 unedited ``perfbench/worker.py`` with ``PYTHONPATH=ROOT/src`` and one BLAS
-thread, as ``perfbench/run.py`` starts its main worker; both sides of pair
-``i`` (from 0) use seed ``i``, and the side that starts first alternates
-from pair to pair.  Every op of every worker must pass its workload's
+thread, as ``perfbench/run.py`` starts its main worker (no answer needs
+that pin; it keeps the timings comparable with perfbench's); both sides
+of pair ``i`` (from 0) use seed ``i``, and the side that starts first
+alternates from pair to pair.  Every op of every worker must pass its workload's
 gate: the tool exits 1 at the first worker that fails, or whose op fails
 a gate.
 A side's reading for one pair is the median of its worker's warm untraced

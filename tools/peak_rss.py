@@ -6,8 +6,10 @@ Usage::
 
 ``SRC_DIR`` is the directory that holds the ``ionchain`` package (``src`` in
 a checkout).  The tool runs ``python -m ionchain.cli ARGV...`` once with
-``PYTHONPATH=SRC_DIR`` and ``OPENBLAS_NUM_THREADS=1``, sends its stdout to
-the null device and passes its stderr through, then prints one line::
+``PYTHONPATH=SRC_DIR`` and ``OPENBLAS_NUM_THREADS=1`` (no answer needs that
+pin; it sizes and times the run as perfbench, which pins one BLAS thread,
+does), sends its stdout to the null device and passes its stderr through,
+then prints one line::
 
     peak_rss_mib 249.0  wall_s 1.234  exit 0
 

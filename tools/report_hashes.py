@@ -6,10 +6,10 @@ Usage::
 
 ``SRC_DIR`` is the directory that holds the ``ionchain`` package (``src`` in
 a checkout).  Each command runs as ``python -m ionchain.cli ARGV`` with
-``PYTHONPATH=SRC_DIR`` and ``OPENBLAS_NUM_THREADS=1`` in a fresh temporary
-working directory: past about 10,000 amplitudes ``np.vdot`` and
-``np.linalg.norm`` round differently on another BLAS thread count, so the
-pin keeps the lines the same on hosts with any number of CPUs.  A command
+``PYTHONPATH=SRC_DIR`` in a fresh temporary working directory, under the
+caller's own environment: ionchain runs its BLAS reductions on one thread
+whatever the BLAS thread count, so the lines are the same on hosts with any
+number of CPUs.  A command
 that must succeed prints ``sha256(stdout)[:16]  argv``; one that must fail
 prints ``sha256(stderr)[:16]  exit N  argv``, pinning its one-line reason;
 if its stderr is not exactly one line or its stdout is not empty, the tool
@@ -161,7 +161,7 @@ def hash_lines(src_dir: str):
 
     Stops with ``SystemExit`` at the first command that breaks its pinned outcome.
     """
-    env = dict(os.environ, PYTHONPATH=os.path.abspath(src_dir), OPENBLAS_NUM_THREADS="1")
+    env = dict(os.environ, PYTHONPATH=os.path.abspath(src_dir))
     with tempfile.TemporaryDirectory() as cwd:
         for name, doc in (("hot.json", HOT_SEQUENCE), ("carriers.json", CARRIER_SEQUENCE),
                           ("one.json", ONE_SEQUENCE), ("split.json", SPLIT_SEQUENCE)):
