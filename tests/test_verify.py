@@ -227,3 +227,14 @@ class TestVerifyRun:
         final, _ = run(chain_sequence(3), n_max=2)
         with pytest.raises(ValidationError):
             verify_run(final, 4)
+
+    @pytest.mark.parametrize("n_qubits", [6.0, True, "6"])
+    def test_n_qubits_must_be_an_int_before_any_work(self, n_qubits, monkeypatch):
+        final, _ = run(cluster6_sequence(), n_max=2)
+
+        def no_work(state):
+            raise AssertionError("stabilizers computed before n_qubits was checked")
+
+        monkeypatch.setattr("ionchain.verify.stabilizer_expectations", no_work)
+        with pytest.raises(ValidationError, match=r"^n_qubits must be an integer >= 1, got "):
+            verify_run(final, n_qubits)
