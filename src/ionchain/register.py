@@ -176,28 +176,43 @@ class RegisterState:
 def basis_labels(n_ions: int, n_max: int, indices: Sequence[int] | np.ndarray) -> list[str]:
     """Label like ``"g e g;1"`` of each flat index: two cached word lookups and ``;n``."""
     hi, lo = _word_tables(n_ions)
-    ions, n = np.divmod(np.asarray(indices, dtype=np.int64), n_max + 1)
-    a, b = np.divmod(ions, len(lo))
+    a, b, n = _split_index(n_ions, n_max, indices)
     return [f"{hi[i]}{lo[j]};{k}" for i, j, k in zip(a.tolist(), b.tolist(), n.tolist())]
 
 
 def basis_digits(n_ions: int, n_max: int, indices: Sequence[int] | np.ndarray) -> np.ndarray:
     """Level (g=0, e=1, e'=2) of each ion at each flat index: row ``i`` is ion ``i + 1``.
 
-    Two cached table lookups, split as in ``basis_labels``; uint8, shape
+    Two cached table lookups, as in ``basis_labels``; uint8, shape
     ``(n_ions, len(indices))``.
     """
     hi, lo = _digit_tables(n_ions)
-    a, b = np.divmod(np.asarray(indices, dtype=np.int64) // (n_max + 1), lo.shape[1])
+    a, b, _ = _split_index(n_ions, n_max, indices)
     return np.concatenate((hi.take(a, axis=1), lo.take(b, axis=1)))
+
+
+def _split_index(n_ions: int, n_max: int, indices) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Each flat index as (word of the first ``n_ions // 2`` ions, word of the rest, phonons)."""
+    ions, n = np.divmod(np.asarray(indices, dtype=np.int64), n_max + 1)
+    a, b = np.divmod(ions, 3 ** (n_ions - n_ions // 2))
+    return a, b, n
 
 
 @functools.lru_cache(maxsize=None)
 def _digit_tables(n_ions: int) -> tuple[np.ndarray, np.ndarray]:
-    """Digits of every level word of the first ``n_ions // 2`` ions and of the rest, by ion."""
+    """Digits of each level word of the first ``n_ions // 2`` ions and of the rest, by column."""
     hi, lo = ((np.arange(3**k) // 3 ** np.arange(k - 1, -1, -1)[:, None] % 3).astype(np.uint8)
               for k in (n_ions // 2, n_ions - n_ions // 2))
     return hi, lo
+
+
+@functools.lru_cache(maxsize=None)
+def _word_tables(n_ions: int) -> tuple[tuple[str, ...], tuple[str, ...]]:
+    """``_digit_tables`` spelled out: ``"g e "`` for the first ions, ``"g e"`` for the rest."""
+    names = list(LEVEL_NAMES.values())
+    hi, lo = (tuple(" ".join(names[d] for d in word) for word in table.T.tolist())
+              for table in _digit_tables(n_ions))
+    return tuple(f"{word} " if word else "" for word in hi), lo
 
 
 def lane_chunks(amplitudes: np.ndarray) -> np.ndarray:
@@ -216,14 +231,6 @@ def lane_chunks(amplitudes: np.ndarray) -> np.ndarray:
     occupied = np.flatnonzero(functools.reduce(np.bitwise_or, words.T))
     positions = (occupied[:, None] * LANE + np.arange(LANE)).ravel()
     return positions[: np.searchsorted(positions, size)]
-
-
-@functools.lru_cache(maxsize=None)
-def _word_tables(n_ions: int) -> tuple[tuple[str, ...], tuple[str, ...]]:
-    """Level words of the first ``n_ions // 2`` ions (``"g e "``) and of the rest (``"g e"``)."""
-    hi, lo = (tuple(" ".join(word) for word in itertools.product(LEVEL_NAMES.values(), repeat=k))
-              for k in (n_ions // 2, n_ions - n_ions // 2))
-    return tuple(f"{word} " if word else "" for word in hi), lo
 
 
 def require_int(value, what: str, low: int, high: int | None = None) -> int:

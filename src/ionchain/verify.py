@@ -12,11 +12,12 @@ assumed: a state with |<K_a>| = 1 and the reference's signs for every a is
 the reference up to global phase.
 
 The stabilizers run on the occupied lane chunks of the state
-(``register.lane_chunks``), not on dense images: 7.2% of chain:12's
-amplitudes at n_max 2.  Their values keep the dense pass's bits while the
-BLAS kernel's lanes have a period dividing ``register.LANE``; a value that
-is exactly zero is recomputed over the whole vector, so its sign is the
-dense one too.
+(``register.lane_chunks``) while those hold at most a quarter of it: 7.2%
+of chain:12's amplitudes at n_max 2.  Their values keep the dense pass's
+bits while the BLAS kernel's lanes have a period dividing
+``register.LANE``; a value that is exactly zero is recomputed by the dense
+pass, so its sign is the dense one too.  A fuller state takes the dense
+pass, one image of the whole vector written in place, for every value.
 """
 
 from __future__ import annotations
@@ -27,7 +28,6 @@ import numpy as np
 
 from .errors import ValidationError
 from .register import (
-    BLOCK_BYTES,
     IonLevel,
     RegisterState,
     _one_blas_thread,
@@ -93,47 +93,66 @@ def stabilizer_expectations(state: RegisterState) -> list[float]:
     1e-9 population on e' (the operators are only defined on the qubit
     subspace).
 
-    The work runs on the occupied lane chunks of the state
-    (``register.lane_chunks``): the image K_a|psi> is gathered there only,
-    and each ``np.vdot`` reads only there, with one BLAS thread for the
-    whole loop.  Since the kernel's lanes have a period that divides LANE
-    and an exact zero adds nothing to a lane, every value that is not zero
-    has the bits of the dense dot.  A real part that is exactly zero, or a
-    state holding a value that is not finite, is recomputed over the whole
-    vector, so the sign of a zero (or a ``0 * inf``) is the dense one.  The
-    e' sums over the chunks only filter: an ion whose sum comes near the
-    bound gets the dense ``population``, which decides and is reported.
+    While the occupied lane chunks (``register.lane_chunks``) hold at most
+    a quarter of the state, the image K_a|psi> is gathered there only and
+    each ``np.vdot`` reads only there, with one BLAS thread for the whole
+    loop.  Since the kernel's lanes have a period that divides LANE and an
+    exact zero adds nothing to a lane, every value that is not zero has the
+    bits of the dense dot.  A real part that is exactly zero is recomputed
+    over the whole vector, so the sign of a zero is the dense one.  The e'
+    sums over the chunks only filter: an ion whose sum comes near the bound
+    gets the dense ``population``, which decides and is reported.  A state
+    that fills more chunks, or holds a value that is not finite, takes the
+    dense pass for every value.
     """
     n, n_max, amps = state.n_ions, state.n_max, state.amplitudes
-    positions = lane_chunks(amps)
-    here = amps[positions]
-    digits = basis_digits(n, n_max, positions)
-    weights = np.abs(here) ** 2
-    for ion in range(1, n + 1):
+    chunks = _occupied(amps)
+    suspects = range(1, n + 1)
+    if chunks:
+        positions, here = chunks
+        digits = basis_digits(n, n_max, positions)
+        weights = np.abs(here) ** 2
         # The margin covers summing the same values in another order.
-        if np.sum(weights[digits[ion - 1] == _EPRIME]) > LEAKAGE_ATOL * (1 - 1e-6):
-            leak = population(state, ion, IonLevel.EPRIME)
-            if leak > LEAKAGE_ATOL:
-                raise ValidationError(
-                    f"ion {ion} holds {leak:.3e} population on e'; stabilizers "
-                    "are defined on the g-e subspace only"
-                )
-    finite = bool(np.isfinite(here).all())
-    dense = None  # the fallback's whole-vector image, made once a call
+        near = LEAKAGE_ATOL * (1 - 1e-6)
+        suspects = [ion for ion in suspects if np.sum(weights[digits[ion - 1] == _EPRIME]) > near]
+        del weights
+    for ion in suspects:
+        leak = population(state, ion, IonLevel.EPRIME)
+        if leak > LEAKAGE_ATOL:
+            raise ValidationError(
+                f"ion {ion} holds {leak:.3e} population on e'; stabilizers "
+                "are defined on the g-e subspace only"
+            )
+    dense = None  # the whole-vector image, made at the first value that needs it
     values: list[float] = []
     for a in range(1, n + 1):
-        if finite:
+        if chunks:
             value = complex(np.vdot(here, _image(amps, positions, digits, a, n_max)))
-        if not finite or value.real == 0:
+        if not chunks or value.real == 0:
             if dense is None:
                 dense = np.empty_like(amps)
-            value = _whole_range_value(state, a, dense)
+            value = _dense_value(amps, a, n, n_max, dense)
         if abs(value.imag) > 1e-10:
             raise ValidationError(
                 f"stabilizer {a} expectation has imaginary residue {value.imag:.3e}"
             )
         values.append(float(value.real))
     return values
+
+
+def _occupied(amps: np.ndarray) -> tuple[np.ndarray, np.ndarray] | None:
+    """``lane_chunks(amps)`` and the values there, or None if the dense pass should run.
+
+    A kept position holds at most 64 bytes (index, value, digits, partner
+    and image), a dense image 16 bytes an amplitude, so past a quarter of
+    the vector the chunks would hold more than the image.  A value that is
+    not finite is left to the dense pass too, where a ``0 * inf`` is seen.
+    """
+    positions = lane_chunks(amps)
+    if positions.size * 4 > amps.size:
+        return None
+    here = amps[positions]
+    return (positions, here) if np.isfinite(here).all() else None
 
 
 def _image(amps: np.ndarray, positions: np.ndarray, digits: np.ndarray, a: int, n_max: int):
@@ -143,7 +162,7 @@ def _image(amps: np.ndarray, positions: np.ndarray, digits: np.ndarray, a: int, 
     writes +0.0 where ion a is in e'; each neighbour's Z then negates where
     it is in e and writes +0.0 where it is in e', in that order.  Negating
     with ``np.negative``, not by multiplying with -1, keeps the signs of
-    zeros the dense image had.
+    zeros that ``_dense_value``'s image has.
     """
     n = len(digits)
     level = digits[a - 1]
@@ -159,19 +178,26 @@ def _image(amps: np.ndarray, positions: np.ndarray, digits: np.ndarray, a: int, 
     return image
 
 
-def _whole_range_value(state: RegisterState, a: int, image: np.ndarray) -> complex:
-    """<psi|K_a|psi> by ``np.vdot`` over the whole vector, with the image written into ``image``.
+def _dense_value(amps: np.ndarray, a: int, n: int, n_max: int, image: np.ndarray) -> complex:
+    """<psi|K_a|psi> by ``np.vdot`` over the whole vector, with K_a|psi> written into ``image``.
 
-    ``_image`` writes it one block of positions at a time, so the pass holds
-    that image and one block's temporaries.
+    The image is written on the ``ion_axes`` views of ion a and its
+    neighbours, in place: X swaps ion a's g and e rows and zeroes its e'
+    row; each neighbour's Z then negates its e row and zeroes its e' row.
     """
-    amps = state.amplitudes
-    # A position costs about 54 bytes of temporaries, so a block's stay under BLOCK_BYTES.
-    step = BLOCK_BYTES // 64
-    for first in range(0, amps.size, step):
-        block = np.arange(first, min(first + step, amps.size))
-        digits = basis_digits(state.n_ions, state.n_max, block)
-        image[first : first + step] = _image(amps, block, digits, a, state.n_max)
+    first, last = max(1, a - 1), min(n, a + 1)
+    source, target = (ion_axes(v, first, n_max, last) for v in (amps, image))
+
+    def rows(view, ion, level):
+        return view[(slice(None),) * (1 + ion - first) + (level,)]
+
+    rows(target, a, _G)[...] = rows(source, a, _E)
+    rows(target, a, _E)[...] = rows(source, a, _G)
+    rows(target, a, _EPRIME)[...] = 0.0
+    for nb in (a - 1, a + 1):
+        if 1 <= nb <= n:
+            np.negative(rows(target, nb, _E), out=rows(target, nb, _E))
+            rows(target, nb, _EPRIME)[...] = 0.0
     return complex(np.vdot(amps, image))
 
 
@@ -214,7 +240,7 @@ def verify_run(state: RegisterState, n_qubits: int) -> VerificationReport:
         raise ValidationError(
             f"state has {state.n_ions} ions, expected {_shown(n_qubits)}"
         )
-    # Before the reference, so a zero fallback's dense image is freed before that one exists.
+    # Before the reference, so the stabilizers' dense image is freed before that one exists.
     stabilizers = tuple(stabilizer_expectations(state))
     ref = reference_cluster(n_qubits, n_max=state.n_max)
     return VerificationReport(

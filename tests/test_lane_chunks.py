@@ -2,8 +2,9 @@
 
 ``verify.stabilizer_expectations`` gathers each K_a|psi> only on the
 ``register.LANE``-aligned chunks of the state that hold an amplitude and
-takes its ``np.vdot`` there, falling back to the whole vector for a real
-part that is exactly zero or a state holding a value that is not finite.
+takes its ``np.vdot`` there, falling back to a dense pass over the whole
+vector for a real part that is exactly zero, a state holding a value that
+is not finite, or a state whose chunks hold more than a quarter of it.
 The dense pass it replaced, which wrote the whole image K_a|psi> block by
 block with ``register.blockwise``, is kept here as the oracle.  Every
 stabilizer float is compared with it by its ``uint64`` bits, zero signs and
@@ -173,18 +174,29 @@ def test_product_and_carrier_programs_equal_the_dense_pass(program):
     assert_same_as_dense(final)
 
 
+def traced_peak(state: RegisterState) -> int:
+    """Most bytes ``stabilizer_expectations(state)`` held at once, its tables already cached."""
+    stabilizer_expectations(state)
+    tracemalloc.start()
+    try:
+        stabilizer_expectations(state)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
 def test_exact_zeros_come_from_the_whole_vector():
     # Every stabilizer of a product of basis states is exactly zero: each
     # value takes the fallback, and its sign is the dense pass's.
     calls = []
-    fallback = verify._whole_range_value
+    fallback = verify._dense_value
 
-    def counted(state, a, image):
+    def counted(amps, a, n, n_max, image):
         calls.append(a)
-        return fallback(state, a, image)
+        return fallback(amps, a, n, n_max, image)
 
     state = new_register([IonPrep.basis(IonLevel.E)] + [_PREPS[4]] * 3, 2)
-    with mock.patch.object(verify, "_whole_range_value", counted):
+    with mock.patch.object(verify, "_dense_value", counted):
         values = assert_same_as_dense(state)
     assert calls == [1, 2, 3, 4]
     assert all(v in (0, 1 << 63) for v in values)
@@ -193,14 +205,36 @@ def test_exact_zeros_come_from_the_whole_vector():
 def test_zero_fallback_holds_one_dense_image_and_one_block():
     # Ten ions at n_max 2 in g: 2.8 MB a vector, every value an exact zero.
     state = new_register([IonPrep.basis(IonLevel.G)] * 10, 2)
-    stabilizer_expectations(state)  # caches the digit tables
-    tracemalloc.start()
-    try:
-        assert stabilizer_expectations(state) == [0.0] * 10
-        _, peak = tracemalloc.get_traced_memory()
-    finally:
-        tracemalloc.stop()
-    assert peak <= state.amplitudes.nbytes + BLOCK_BYTES
+    assert stabilizer_expectations(state) == [0.0] * 10
+    assert traced_peak(state) <= state.amplitudes.nbytes + BLOCK_BYTES
+
+
+def filling_program(n_ions: int) -> PulseSequence:
+    """Carriers and faint sidebands that leave an amplitude in every lane chunk, e' under 1e-9."""
+    steps = []
+    for _ in range(3):
+        for kind, theta in ((PulseKind.CARRIER, 1.1), (PulseKind.SIDEBAND_GE, 2e-5),
+                            (PulseKind.SIDEBAND_GEPRIME, 2e-5)):
+            steps += [Pulse(kind, ion, 0.3, theta) for ion in range(1, n_ions + 1)]
+    return PulseSequence([IonPrep.basis(IonLevel.G)] * n_ions, steps)
+
+
+@pytest.mark.parametrize("n_ions, n_max", [(5, 2), (8, 3), (10, 2)])
+def test_states_filling_the_chunks_equal_the_dense_pass(n_ions, n_max):
+    final, _ = run(filling_program(n_ions), n_max)
+    assert lane_chunks(final.amplitudes).size > 0.9 * final.dim
+    assert isinstance(assert_same_as_dense(final), list)
+
+
+def test_filled_chunks_hold_one_dense_image():
+    # Gathering on every chunk would hold about four images' worth.
+    final, _ = run(filling_program(10), 2)
+    assert traced_peak(final) <= final.amplitudes.nbytes + BLOCK_BYTES
+
+
+def test_chain12_chunks_hold_less_than_one_dense_image():
+    final, _ = run(chain_sequence(12), 2)
+    assert traced_peak(final) < final.amplitudes.nbytes / 2
 
 
 @pytest.mark.parametrize(
@@ -224,6 +258,27 @@ def test_values_that_are_not_finite_match_the_dense_pass(placed):
     for index, value in placed.items():
         amps[index] = value
     assert_same_as_dense(RegisterState(3, 2, amps))
+
+
+@pytest.mark.parametrize(
+    "value, nan_at",
+    [(np.inf, None), (np.nan, None), (complex(0.0, -np.inf), None), (np.inf, 322)],
+    ids=["inf", "nan", "imag-minus-inf", "inf-and-nan"],
+)
+def test_values_that_are_not_finite_in_a_sparse_state_match_the_dense_pass(value, nan_at):
+    # ``value`` goes where X_1 moves it into a chunk the state leaves empty:
+    # only a pass over the whole vector multiplies it there by a zero of the
+    # state.  That 0 * inf is a NaN with its sign set, a NaN at 322 has it
+    # clear, and which of them a lane meets first decides the sign it keeps.
+    final, _ = run(chain_sequence(8), 2)
+    amps = np.array(final.amplitudes)
+    kept = lane_chunks(amps)
+    assert kept.size * 4 <= amps.size and (nan_at is None or nan_at in kept)
+    stride = 3 * 3**7  # ion 1's digit
+    amps[np.setdiff1d(kept + stride, kept)[0] - stride] = value
+    if nan_at is not None:
+        amps[nan_at] = np.nan
+    assert_same_as_dense(RegisterState(8, 2, amps))
 
 
 @pytest.mark.parametrize("ion", [1, 2, 3, 4])

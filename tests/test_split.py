@@ -3,9 +3,9 @@
 ``apply_pulse`` makes the one ``register.blockwise`` call, which cuts the
 state into slab-aligned blocks of ``register.BLOCK_BYTES`` and runs them
 on up to one thread per CPU, at most one per ``register.WORKER_BLOCKS``
-blocks.  ``stabilizer_expectations`` works on lane chunks and splits
-nothing (``tests/test_lane_chunks.py``); its values are still compared
-here, so no split setting may move them.
+blocks.  ``stabilizer_expectations`` works on lane chunks, or in one
+whole-vector pass, and splits nothing (``tests/test_lane_chunks.py``);
+its values are still compared here, so no split setting may move them.
 The block size, the CPU count (``register._cpus``) and that floor are
 patched here to force a few dozen amplitudes a block and one or three
 workers, and every result is compared by its bytes with the default,
